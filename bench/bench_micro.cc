@@ -30,8 +30,6 @@
 #include "features/pipeline.h"
 #include "nn/gemm.h"
 #include "nn/loss.h"
-#include "serve/gemm_parallel_for.h"
-#include "serve/thread_pool.h"
 #include "topic/lda.h"
 #include "topic/table_document.h"
 #include "util/timer.h"
@@ -332,12 +330,7 @@ void WriteGemmJson(const char* path) {
   if (scale.name == "medium") flop_budget = 1e9;
   if (scale.name == "large") flop_budget = 3e9;
 
-  size_t threads = std::max(1u, std::thread::hardware_concurrency());
-  serve::ThreadPool pool(threads);
-  nn::gemm::Config parallel = nn::gemm::DefaultConfig();
-  parallel.parallel_for = serve::GemmParallelFor(&pool);
-  parallel.parallel_chunks = pool.num_threads();
-  parallel.parallel_min_columns = nn::gemm::kMicroCols;
+  const size_t threads = std::max(1u, std::thread::hardware_concurrency());
 
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -375,8 +368,6 @@ void WriteGemmJson(const char* path) {
     double naive = TimeGemmSeconds(a, b, &c, cfg, /*reference=*/true, iters);
     double blocked =
         TimeGemmSeconds(a, b, &c, cfg, /*reference=*/false, iters);
-    double par =
-        TimeGemmSeconds(a, b, &c, parallel, /*reference=*/false, iters);
     double int8_sec =
         TimeGemmSeconds(a, b, &c, int8, /*reference=*/false, iters);
     double int8_pre_sec = TimePrepackedInt8Seconds(a, b, &c, int8, iters);
@@ -389,13 +380,11 @@ void WriteGemmJson(const char* path) {
         "     \"naive_gflops\": %.2f, \"blocked_gflops\": %.2f,\n"
         "     \"int8_sec\": %.6g, \"int8_speedup_vs_blocked\": %.2f,\n"
         "     \"int8_prepacked_sec\": %.6g, "
-        "\"int8_prepacked_speedup_vs_blocked\": %.2f,\n"
-        "     \"parallel_threads\": %zu, \"parallel_sec\": %.6g, "
-        "\"parallel_speedup\": %.2f}%s\n",
+        "\"int8_prepacked_speedup_vs_blocked\": %.2f}%s\n",
         shape.role, m, k, n, iters, naive, blocked, naive / blocked,
         flops * 1e-9 / naive, flops * 1e-9 / blocked, int8_sec,
-        blocked / int8_sec, int8_pre_sec, blocked / int8_pre_sec, threads,
-        par, naive / par, s + 1 < count ? "," : "");
+        blocked / int8_sec, int8_pre_sec, blocked / int8_pre_sec,
+        s + 1 < count ? "," : "");
     std::fprintf(stderr,
                  "bench_micro gemm: %-20s %4zux%4zux%4zu  naive %8.3f ms  "
                  "blocked %8.3f ms  speedup %.2fx  int8 %8.3f ms (%.2fx vs "

@@ -43,6 +43,11 @@
 namespace sato::bench {
 namespace {
 
+/// The model and feature context every measurement publishes, held in the
+/// shared ownership ModelRegistry::Publish takes.
+using ModelPtr = std::shared_ptr<const SatoModel>;
+using ContextPtr = std::shared_ptr<const FeatureContext>;
+
 /// Command-line knobs (see main): the Zipfian replay shape and whether to
 /// skip the offline sweep.
 struct BenchFlags {
@@ -72,7 +77,7 @@ struct PhaseBreakdown {
   double crf_sec;
 };
 
-PhaseBreakdown MeasurePhases(const SatoModel& model, const BenchEnv& env,
+PhaseBreakdown MeasurePhases(const ModelPtr& model, const ContextPtr& context,
                              const features::FeatureScaler& scaler,
                              const std::vector<Table>& tables, size_t threads,
                              int trials) {
@@ -81,13 +86,13 @@ PhaseBreakdown MeasurePhases(const SatoModel& model, const BenchEnv& env,
     SatoPredictor::Scratch scratch;
     nn::Workspace ws;
     std::vector<TableExample> examples;  // this worker's featurised share
-    Worker(const SatoModel& m, const BenchEnv& e,
+    Worker(const SatoModel& m, const FeatureContext* c,
            const features::FeatureScaler& s)
-        : predictor(&m, &e.context, s) {}
+        : predictor(&m, c, s) {}
   };
   std::vector<std::unique_ptr<Worker>> workers;
   for (size_t w = 0; w < threads; ++w) {
-    workers.push_back(std::make_unique<Worker>(model, env, scaler));
+    workers.push_back(std::make_unique<Worker>(*model, context.get(), scaler));
   }
 
   // Each phase runs for every worker concurrently; the measured time is
@@ -122,11 +127,11 @@ PhaseBreakdown MeasurePhases(const SatoModel& model, const BenchEnv& env,
   };
   auto probs_pass = [&](size_t wi) {
     Worker& w = *workers[wi];
-    for (const TableExample& e : w.examples) model.PredictProbs(e, &w.ws);
+    for (const TableExample& e : w.examples) model->PredictProbs(e, &w.ws);
   };
   auto predict_pass = [&](size_t wi) {
     Worker& w = *workers[wi];
-    for (const TableExample& e : w.examples) model.Predict(e, &w.ws);
+    for (const TableExample& e : w.examples) model->Predict(e, &w.ws);
   };
 
   // Warm-up (scratch/workspace high-water, page faults).
@@ -162,7 +167,7 @@ struct OnlineResult {
   serve::ServiceStats stats;  // latency percentiles, histogram, rejects
 };
 
-OnlineResult MeasureOnline(const SatoModel& model, const BenchEnv& env,
+OnlineResult MeasureOnline(const ModelPtr& model, const ContextPtr& context,
                            const features::FeatureScaler& scaler,
                            const std::vector<Table>& tables, size_t clients,
                            size_t workers, int trials) {
@@ -171,7 +176,9 @@ OnlineResult MeasureOnline(const SatoModel& model, const BenchEnv& env,
   options.max_batch_size = 8;
   options.max_queue_delay_nanos = 200'000;  // 200 us flush deadline
   options.queue_capacity = 1024;
-  serve::PredictionService service(model, &env.context, scaler, options);
+  serve::ModelRegistry registry;
+  registry.Publish(model, context, scaler, "online");
+  serve::PredictionService service(&registry, options);
 
   auto run_closed_loop = [&] {
     std::vector<std::thread> threads;
@@ -229,12 +236,12 @@ struct SwapResult {
   serve::ServiceStats stats;
 };
 
-SwapResult MeasureSwap(const SatoModel& model, const BenchEnv& env,
+SwapResult MeasureSwap(const ModelPtr& model, const ContextPtr& context,
                        const features::FeatureScaler& scaler,
                        const std::vector<Table>& tables, size_t clients,
                        size_t workers, size_t swap_every, int trials) {
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(model, &env.context, scaler, "bench-v1");
+  registry.Publish(model, context, scaler, "bench-v1");
 
   serve::PredictionServiceOptions options;
   options.num_threads = workers;
@@ -256,7 +263,7 @@ SwapResult MeasureSwap(const SatoModel& model, const BenchEnv& env,
         for (size_t i = c; i < tables.size(); i += clients) {
           if (++submitted % swap_every == 0) {
             util::Timer publish_timer;
-            registry.PublishBorrowed(model, &env.context, scaler);
+            registry.Publish(model, context, scaler);
             if (measure) {
               double us = publish_timer.ElapsedSeconds() * 1e6;
               std::lock_guard<std::mutex> lock(publish_mutex);
@@ -326,8 +333,8 @@ struct CacheReplayResult {
   serve::ResultCacheStats cache_stats;
 };
 
-CacheReplayResult MeasureCacheReplay(const SatoModel& model,
-                                     const BenchEnv& env,
+CacheReplayResult MeasureCacheReplay(const ModelPtr& model,
+                                     const ContextPtr& context,
                                      const features::FeatureScaler& scaler,
                                      const std::vector<Table>& tables,
                                      double zipf_s, size_t replay_requests,
@@ -344,7 +351,7 @@ CacheReplayResult MeasureCacheReplay(const SatoModel& model,
   auto run = [&](serve::ResultCache* cache,
                  std::vector<std::vector<TypeId>>* responses) {
     serve::ModelRegistry registry;
-    registry.PublishBorrowed(model, &env.context, scaler, "replay");
+    registry.Publish(model, context, scaler, "replay");
     serve::PredictionServiceOptions options;
     options.num_threads = workers;
     options.max_batch_size = 8;
@@ -417,7 +424,7 @@ struct DaemonResult {
   uint64_t responses_ok;
 };
 
-DaemonResult MeasureDaemon(const SatoModel& model, const BenchEnv& env,
+DaemonResult MeasureDaemon(const ModelPtr& model, const ContextPtr& context,
                            const features::FeatureScaler& scaler,
                            const std::vector<Table>& tables, double zipf_s,
                            size_t requests, size_t cache_entries,
@@ -427,7 +434,7 @@ DaemonResult MeasureDaemon(const SatoModel& model, const BenchEnv& env,
   for (size_t& t : trace) t = trace_rng.Zipf(tables.size(), zipf_s);
 
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(model, &env.context, scaler, "daemon");
+  registry.Publish(model, context, scaler, "daemon");
   serve::ResultCacheOptions cache_options;
   cache_options.capacity_entries = cache_entries;
   serve::ResultCache cache(cache_options);
@@ -500,7 +507,8 @@ struct ResilienceResult {
   double p99_ms_faulty;
 };
 
-ResilienceResult MeasureResilience(const SatoModel& model, const BenchEnv& env,
+ResilienceResult MeasureResilience(const ModelPtr& model,
+                                   const ContextPtr& context,
                                    const features::FeatureScaler& scaler,
                                    const std::vector<Table>& tables,
                                    size_t requests, size_t clients,
@@ -519,7 +527,7 @@ ResilienceResult MeasureResilience(const SatoModel& model, const BenchEnv& env,
 
   auto run_pass = [&](serve::FaultInjector* injector) {
     serve::ModelRegistry registry;
-    registry.PublishBorrowed(model, &env.context, scaler, "resilience");
+    registry.Publish(model, context, scaler, "resilience");
     serve::ResultCacheOptions cache_options;
     cache_options.capacity_entries = 1024;
     cache_options.fault_injector = injector;
@@ -621,7 +629,7 @@ ResilienceResult MeasureResilience(const SatoModel& model, const BenchEnv& env,
   return result;
 }
 
-ServeResult MeasureThroughput(const SatoModel& model, const BenchEnv& env,
+ServeResult MeasureThroughput(const ModelPtr& model, const ContextPtr& context,
                               const features::FeatureScaler& scaler,
                               const std::vector<Table>& tables,
                               size_t num_columns, size_t threads,
@@ -629,7 +637,9 @@ ServeResult MeasureThroughput(const SatoModel& model, const BenchEnv& env,
   serve::BatchPredictorOptions options;
   options.num_threads = threads;
   options.seed = 1;
-  serve::BatchPredictor batch(model, &env.context, scaler, options);
+  serve::ModelRegistry registry;
+  serve::BatchPredictor batch(registry.Publish(model, context, scaler),
+                              options);
 
   batch.PredictTables(tables);  // warm-up pass (first-touch, page faults)
 
@@ -839,14 +849,18 @@ int Run(const BenchFlags& flags) {
   Dataset train = env.dataset_d;
   features::FeatureScaler scaler = StandardizeSplits(&train, nullptr);
 
+  // Serving owns the model and context through the registry: both move
+  // into shared ownership once and every measurement publishes them.
+  const auto context =
+      std::make_shared<const FeatureContext>(std::move(env.context));
   util::Rng rng(13);
-  SatoModel model(SatoVariant::kFull, env.dims, env.context.topic_dim(),
-                  env.config, &rng);
+  const auto model = std::make_shared<const SatoModel>(
+      SatoVariant::kFull, env.dims, context->topic_dim(), env.config, &rng);
 
   const std::vector<Table>& tables = env.tables_dmult;
   size_t num_columns = 0;
   for (const Table& t : tables) num_columns += t.num_columns();
-  size_t model_bytes = model.ParameterBytes();
+  size_t model_bytes = model->ParameterBytes();
   std::printf("bench_serve: %zu multi-column tables (%zu columns), "
               "hardware threads = %u, shared model = %.2f MiB\n",
               tables.size(), num_columns,
@@ -867,7 +881,7 @@ int Run(const BenchFlags& flags) {
     PrintRule(74);
     double base_throughput = 0.0;
     for (size_t threads : thread_counts) {
-      ServeResult r = MeasureThroughput(model, env, scaler, tables,
+      ServeResult r = MeasureThroughput(model, context, scaler, tables,
                                         num_columns, threads, trials);
       if (threads == 1) base_throughput = r.tables_per_sec;
       size_t shared = model_bytes + r.workspace_bytes;
@@ -882,7 +896,7 @@ int Run(const BenchFlags& flags) {
 
     for (size_t threads : thread_counts) {
       phases.push_back(
-          MeasurePhases(model, env, scaler, tables, threads, trials));
+          MeasurePhases(model, context, scaler, tables, threads, trials));
       const PhaseBreakdown& p = phases.back();
       double phase_total = p.featurize_sec + p.nn_sec + p.crf_sec;
       std::printf("phase breakdown (%zu thread%s): featurize %.3fs (%.0f%%), "
@@ -898,7 +912,8 @@ int Run(const BenchFlags& flags) {
     // PASS selects the quantized path (for one extra phase datapoint that
     // shows the nn speedup); the comparable main numbers above stay on the
     // process-default fp64 path either way.
-    auto bundle = serve::ModelBundle::Borrowed(model, &env.context, scaler);
+    serve::ModelRegistry gate_registry;
+    auto bundle = gate_registry.Publish(model, context, scaler, "int8-gate");
     gate = eval::RunInt8AccuracyGate(bundle, tables, /*seed=*/1,
                                     /*epsilon=*/0.01);
     std::printf("int8 gate: fp64 macro-F1 %.4f, int8 macro-F1 %.4f, delta "
@@ -910,7 +925,7 @@ int Run(const BenchFlags& flags) {
       nn::gemm::Config int8_config = saved;
       int8_config.use_int8 = true;
       nn::gemm::SetDefaultConfig(int8_config);
-      int8_phases = MeasurePhases(model, env, scaler, tables, 1, trials);
+      int8_phases = MeasurePhases(model, context, scaler, tables, 1, trials);
       nn::gemm::SetDefaultConfig(saved);
       have_int8_phases = true;
       std::printf("phase breakdown (1 thread, int8 gemm): featurize %.3fs, "
@@ -924,7 +939,7 @@ int Run(const BenchFlags& flags) {
   // matched to the hardware.
   size_t online_workers =
       std::max<size_t>(1, std::thread::hardware_concurrency());
-  OnlineResult online = MeasureOnline(model, env, scaler, tables,
+  OnlineResult online = MeasureOnline(model, context, scaler, tables,
                                       /*clients=*/4, online_workers, trials);
   std::printf("online (%zu clients, %zu workers, batch<=%zu, deadline "
               "%lluus): %.1f tables/sec, p50 %.3fms p95 %.3fms p99 %.3fms, "
@@ -949,7 +964,7 @@ int Run(const BenchFlags& flags) {
   // Hot-swap mode: same closed loop, publishing a new version roughly
   // eight times per pass over the corpus.
   size_t swap_every = std::max<size_t>(1, tables.size() / 8);
-  SwapResult swap = MeasureSwap(model, env, scaler, tables, /*clients=*/4,
+  SwapResult swap = MeasureSwap(model, context, scaler, tables, /*clients=*/4,
                                 online_workers, swap_every, trials);
   std::printf("swap (every %zu submits): %llu versions published, %llu swaps "
               "observed, %llu straddling responses, publish p50 %.1fus max "
@@ -967,7 +982,7 @@ int Run(const BenchFlags& flags) {
   size_t replay_requests =
       flags.replay ? flags.replay : tables.size() * 8;
   CacheReplayResult replay = MeasureCacheReplay(
-      model, env, scaler, tables, flags.zipf_s, replay_requests,
+      model, context, scaler, tables, flags.zipf_s, replay_requests,
       flags.cache_entries, /*clients=*/4, online_workers);
   std::printf("cache replay (zipf s=%.2f, %zu requests over %zu tables, "
               "%zu entries): hit rate %.3f (%llu/%llu), cold %.1f "
@@ -982,7 +997,7 @@ int Run(const BenchFlags& flags) {
   // And the same trace through the daemon's network front door.
   size_t daemon_requests =
       std::min(replay_requests, tables.size() * 2);
-  DaemonResult daemon = MeasureDaemon(model, env, scaler, tables,
+  DaemonResult daemon = MeasureDaemon(model, context, scaler, tables,
                                       flags.zipf_s, daemon_requests,
                                       flags.cache_entries, /*clients=*/2,
                                       online_workers);
@@ -997,7 +1012,7 @@ int Run(const BenchFlags& flags) {
   // Resilience: the same loopback daemon under a seeded injected-fault
   // schedule vs fault-free, retrying clients with 50 ms deadlines.
   ResilienceResult resilience =
-      MeasureResilience(model, env, scaler, tables, daemon_requests,
+      MeasureResilience(model, context, scaler, tables, daemon_requests,
                         /*clients=*/2, online_workers);
   std::printf("resilience (%llu ppm faults, %zu requests): fault-free p50 "
               "%.3fms p99 %.3fms -> faulty p50 %.3fms p99 %.3fms; %llu "

@@ -13,8 +13,8 @@
 // SIGHUP reloads the bundle from disk and republishes it through the
 // registry (hot swap: in-flight requests finish on the version they
 // pinned). --wal PATH makes corrections crash-safe: the log is replayed
-// into the registry on startup (a torn tail is truncated loudly, never
-// fatally) and every acknowledged correction is appended before its ack.
+// on startup (a torn tail is truncated loudly, never fatally) and every
+// acknowledged correction is appended before its ack.
 
 #include <poll.h>
 #include <unistd.h>
@@ -59,7 +59,7 @@ struct Flags {
   size_t workers = 2;
   size_t batch = 16;
   uint64_t seed = 71;
-  std::string wal_path;  // empty = corrections stay in memory only
+  std::string wal_path;  // empty = corrections are counted, not stored
   bool wal_fsync = true;
 };
 
@@ -273,7 +273,7 @@ int RunSelfTest(serve::Server* server, const std::vector<Table>& tables) {
   SELFTEST_CHECK(healthy.transport_ok);
   SELFTEST_CHECK(healthy.body.status == serve::wire::WireStatus::kOk);
 
-  // 5. A correction lands in the registry's correction log.
+  // 5. A correction is accepted by the registry.
   serve::wire::ClientResponse corr =
       client.Correct(table->columns()[0].header, /*type=*/3,
                      first.body.model_version);
@@ -325,13 +325,10 @@ int Main(int argc, char** argv) {
 
   if (!flags.wal_path.empty()) {
     // Documented startup order: replay first (heals any torn tail in
-    // place), feed the surviving corrections into the registry, THEN
-    // attach a fresh appender -- replayed records must not be re-appended.
-    serve::WalReplayResult replay =
+    // place), THEN attach a fresh appender. The WAL is the correction
+    // store, so replayed records stay where they are.
+    const serve::WalReplayResult replay =
         serve::CorrectionWal::Replay(flags.wal_path);
-    for (serve::Correction& c : replay.corrections) {
-      registry.SubmitCorrection(std::move(c));
-    }
     std::fprintf(stderr,
                  "sato_serverd: wal %s: replayed %zu correction(s)%s\n",
                  flags.wal_path.c_str(), replay.records,

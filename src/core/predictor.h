@@ -1,7 +1,6 @@
 #ifndef SATO_CORE_PREDICTOR_H_
 #define SATO_CORE_PREDICTOR_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,24 +38,11 @@ class SatoPredictor {
     size_t CapacityBytes() const { return features.CapacityBytes(); }
   };
 
-  /// All pointers are borrowed and must outlive the predictor.
+  /// All pointers are borrowed and must outlive the predictor (the
+  /// serving tier's serve::ModelBundle owns them for its predictor).
   SatoPredictor(const SatoModel* model, const FeatureContext* context,
                 features::FeatureScaler scaler)
       : model_(model), context_(context), scaler_(std::move(scaler)) {}
-
-  /// Shared-ownership construction: the predictor PINS the model and
-  /// context, keeping them alive for its own lifetime. This is the form
-  /// the hot-swappable serving tier uses (a serve::ModelBundle holds its
-  /// components the same way) -- a predictor built like this can never
-  /// dangle, no matter what the registry publishes after it was built.
-  SatoPredictor(std::shared_ptr<const SatoModel> model,
-                std::shared_ptr<const FeatureContext> context,
-                features::FeatureScaler scaler)
-      : model_(model.get()),
-        context_(context.get()),
-        scaler_(std::move(scaler)),
-        owned_model_(std::move(model)),
-        owned_context_(std::move(context)) {}
 
   /// Featurises one raw table (no headers consulted).
   TableExample Featurize(const Table& table, util::Rng* rng) const;
@@ -87,12 +73,9 @@ class SatoPredictor {
   const SatoModel& model() const { return *model_; }
 
  private:
-  const SatoModel* model_;         // borrowed, or aliases owned_model_
-  const FeatureContext* context_;  // borrowed, or aliases owned_context_
+  const SatoModel* model_;         // borrowed
+  const FeatureContext* context_;  // borrowed
   features::FeatureScaler scaler_;
-  // Set only by the shared-ownership constructor: keep-alive pins.
-  std::shared_ptr<const SatoModel> owned_model_;
-  std::shared_ptr<const FeatureContext> owned_context_;
 };
 
 }  // namespace sato

@@ -111,12 +111,11 @@ void PackB(const ConstView& b, size_t k0, size_t j0, size_t kb, size_t nb,
   }
 }
 
-/// Computes columns [j0, j1) of C = op(A) * op(B) with the full blocking
-/// scheme. Each element's k-accumulation order depends only on kc, so any
-/// column split across threads is bitwise identical to the serial run.
-void GemmColumnRange(const ConstView& a, const ConstView& b, double* c,
-                     size_t ldc, size_t m, size_t k, size_t j0, size_t j1,
-                     const Config& config, MicroKernelFn micro) {
+/// Computes C [m,n] = op(A) * op(B) with the full blocking scheme. Each
+/// element's k-accumulation order depends only on kc.
+void GemmBlocked(const ConstView& a, const ConstView& b, double* c, size_t m,
+                 size_t k, size_t n, const Config& config,
+                 MicroKernelFn micro) {
   // Packing scratch. thread_local keeps the capacity across calls, so the
   // steady-state serving path allocates nothing here (same discipline as
   // nn::Workspace); distinct threads pack into distinct buffers.
@@ -126,8 +125,8 @@ void GemmColumnRange(const ConstView& a, const ConstView& b, double* c,
   const size_t kc = std::max<size_t>(1, config.kc);
   const size_t nc = std::max<size_t>(NR, config.nc);
 
-  for (size_t jc = j0; jc < j1; jc += nc) {
-    size_t nb = std::min(nc, j1 - jc);
+  for (size_t jc = 0; jc < n; jc += nc) {
+    size_t nb = std::min(nc, n - jc);
     size_t nb_pad = (nb + NR - 1) / NR * NR;
     for (size_t pc = 0; pc < k; pc += kc) {
       size_t kb = std::min(kc, k - pc);
@@ -149,15 +148,15 @@ void GemmColumnRange(const ConstView& a, const ConstView& b, double* c,
             const double* ap = a_panel.data() + ir / MR * (MR * kb);
             double tile[MR * NR];
             micro(kb, ap, bp, tile);
-            double* cblk = c + (ic + ir) * ldc + jc + jr;
+            double* cblk = c + (ic + ir) * n + jc + jr;
             if (first) {
               for (size_t i = 0; i < mr; ++i)
                 for (size_t j = 0; j < nr; ++j)
-                  cblk[i * ldc + j] = tile[i * NR + j];
+                  cblk[i * n + j] = tile[i * NR + j];
             } else {
               for (size_t i = 0; i < mr; ++i)
                 for (size_t j = 0; j < nr; ++j)
-                  cblk[i * ldc + j] += tile[i * NR + j];
+                  cblk[i * n + j] += tile[i * NR + j];
             }
           }
         }
@@ -302,8 +301,8 @@ Int8MicroKernelFn PickInt8MicroKernel(const Config& config) {
 /// fp64 panel bandwidth, so no mc/kc blocking is needed at the model's
 /// sizes). The k-accumulation downstream is a single exact int32 sum, so
 /// the packed contents -- and every product computed from them -- are a
-/// pure function of the input values, independent of kernel flavour,
-/// chunking and thread count.
+/// pure function of the input values, independent of kernel flavour and
+/// thread.
 void QuantizePackBInt8(const ConstView& b, size_t k, size_t n,
                        std::vector<int16_t>* panels,
                        std::vector<double>* scale_b) {
@@ -361,40 +360,23 @@ void Int8ComputeWithPackedB(const ConstView& a, size_t m, size_t k, size_t n,
   const int16_t* qa_data = qa.data();
   const double* sa = scale_a.data();
 
-  auto compute_columns = [&](size_t j0, size_t j1) {  // j0 NR-aligned
-    int32_t tile[MR * NR];
-    for (size_t jr = j0; jr < j1; jr += NR) {
-      size_t nr = std::min(NR, n - jr);
-      const int16_t* bp = qb_data + (jr / NR) * (kb2 * NR * 2);
-      for (size_t ir = 0; ir < m; ir += MR) {
-        size_t mr = std::min(MR, m - ir);
-        const int16_t* ap = qa_data + (ir / MR) * (kb2 * MR * 2);
-        micro(kb2, ap, bp, tile);
-        for (size_t i = 0; i < mr; ++i) {
-          for (size_t j = 0; j < nr; ++j) {
-            cdata[(ir + i) * n + jr + j] =
-                static_cast<double>(tile[i * NR + j]) *
-                (sa[ir + i] * sb[jr + j]);
-          }
+  int32_t tile[MR * NR];
+  for (size_t jr = 0; jr < n; jr += NR) {
+    size_t nr = std::min(NR, n - jr);
+    const int16_t* bp = qb_data + (jr / NR) * (kb2 * NR * 2);
+    for (size_t ir = 0; ir < m; ir += MR) {
+      size_t mr = std::min(MR, m - ir);
+      const int16_t* ap = qa_data + (ir / MR) * (kb2 * MR * 2);
+      micro(kb2, ap, bp, tile);
+      for (size_t i = 0; i < mr; ++i) {
+        for (size_t j = 0; j < nr; ++j) {
+          cdata[(ir + i) * n + jr + j] =
+              static_cast<double>(tile[i * NR + j]) *
+              (sa[ir + i] * sb[jr + j]);
         }
       }
     }
-  };
-
-  if (config.parallel_for && n >= config.parallel_min_columns) {
-    const size_t nc = std::max<size_t>(NR, config.nc);
-    size_t chunks = config.parallel_chunks != 0 ? config.parallel_chunks
-                                                : (n + nc - 1) / nc;
-    chunks = std::max<size_t>(1, std::min(chunks, (n + NR - 1) / NR));
-    size_t per = ((n + chunks - 1) / chunks + NR - 1) / NR * NR;
-    config.parallel_for(chunks, [&](size_t chunk) {
-      size_t j0 = chunk * per;
-      if (j0 >= n) return;
-      compute_columns(j0, std::min(n, j0 + per));
-    });
-    return;
   }
-  compute_columns(0, n);
 }
 
 /// Per-call int8 driver: quantize + pack B (thread_local scratch), then
@@ -423,26 +405,7 @@ void GemmView(const ConstView& a, const ConstView& b, size_t m, size_t k,
     c->Fill(0.0);  // empty sum: the reference kernels also yield zeros
     return;
   }
-  MicroKernelFn micro = PickMicroKernel(config);
-  double* cdata = c->data();
-
-  if (config.parallel_for && n >= config.parallel_min_columns) {
-    const size_t nc = std::max<size_t>(NR, config.nc);
-    size_t chunks = config.parallel_chunks != 0 ? config.parallel_chunks
-                                                : (n + nc - 1) / nc;
-    chunks = std::max<size_t>(1, std::min(chunks, (n + NR - 1) / NR));
-    // Contiguous column ranges aligned to the micro-tile width; disjoint
-    // output bytes, so chunks need no synchronisation beyond the barrier.
-    size_t per = ((n + chunks - 1) / chunks + NR - 1) / NR * NR;
-    config.parallel_for(chunks, [&](size_t chunk) {
-      size_t j0 = chunk * per;
-      if (j0 >= n) return;
-      size_t j1 = std::min(n, j0 + per);
-      GemmColumnRange(a, b, cdata, n, m, k, j0, j1, config, micro);
-    });
-    return;
-  }
-  GemmColumnRange(a, b, cdata, n, m, k, 0, n, config, micro);
+  GemmBlocked(a, b, c->data(), m, k, n, config, PickMicroKernel(config));
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 #define SATO_NN_GEMM_H_
 
 #include <cstddef>
-#include <functional>
 #include <string>
 
 #include "nn/matrix.h"
@@ -23,21 +22,15 @@ namespace sato::nn::gemm {
 /// four MatMul routings share one kernel.
 ///
 /// Numerical contract: for one (M, N, K, Config) the result is a pure
-/// function of the inputs -- bitwise deterministic, on any thread count
-/// (see Config::parallel_for). Different block sizes regroup the
+/// function of the inputs -- bitwise deterministic on any thread. Each
+/// call runs serially on the calling thread; serving parallelises across
+/// tables instead, one GEMM per worker. Different block sizes regroup the
 /// k-accumulation and may differ from the reference kernel by normal
 /// floating-point rounding (~1e-15 relative; tests allow 1e-12).
 ///
 /// Thread-safety: every function here is re-entrant; scratch packing
 /// buffers are thread_local and recycled across calls (no steady-state
 /// allocation on the serving hot path, matching the Workspace design).
-
-/// Barrier-style parallel-for: run fn(chunk) for every chunk in
-/// [0, count) and return only once all calls have completed. The chunks
-/// are independent (disjoint column ranges of C) and may execute in any
-/// order on any thread, including the caller's.
-using ParallelFor =
-    std::function<void(size_t count, const std::function<void(size_t)>& fn)>;
 
 /// Register micro-tile height (rows of C per micro-kernel call).
 inline constexpr size_t kMicroRows = 4;
@@ -79,34 +72,11 @@ struct Config {
   /// it behind a macro-F1 parity check before serving selects it (see
   /// eval::RunInt8AccuracyGate). Because the accumulators are integers,
   /// the result is bitwise identical across kernels (scalar vs AVX2),
-  /// thread counts and blocking -- flipping enable_cpu_dispatch or
-  /// parallel_for never changes an int8 result. `use_reference` takes
-  /// precedence; k above ~131k falls back to the fp64 blocked path (the
-  /// int32 accumulator bound k * 127^2 < 2^31).
+  /// threads and blocking -- flipping enable_cpu_dispatch never changes an
+  /// int8 result. `use_reference` takes precedence; k above ~131k falls
+  /// back to the fp64 blocked path (the int32 accumulator bound
+  /// k * 127^2 < 2^31).
   bool use_int8 = false;
-
-  // -- optional column parallelism ------------------------------------------
-  /// When set, C's columns are split into contiguous chunks (aligned to
-  /// kMicroCols) and computed through this barrier. Each output element is
-  /// written by exactly one chunk with an execution-order-independent
-  /// accumulation order, so the result is byte-identical to the serial
-  /// path for ANY chunk count or thread count. Leave empty for serial.
-  ///
-  /// serve::GemmParallelFor adapts a serve::ThreadPool to this signature.
-  /// CAUTION: never invoke a pool-backed ParallelFor from inside a task of
-  /// the same pool -- ThreadPool::Wait is a global barrier and would
-  /// deadlock. The BatchPredictor already parallelises across tables, so
-  /// its workers must (and do) run the serial kernel.
-  ParallelFor parallel_for;
-
-  /// Number of column chunks handed to parallel_for; 0 derives one chunk
-  /// per `nc` slab. Callers that know their pool width typically set this
-  /// to the worker count.
-  size_t parallel_chunks = 0;
-
-  /// Matrices with fewer output columns than this run serially even when
-  /// parallel_for is set (the barrier costs more than the FLOPs saved).
-  size_t parallel_min_columns = 128;
 };
 
 /// Largest shared dimension the int8 path accepts (the int32 accumulator
@@ -142,7 +112,7 @@ void GemmPrepackedInt8(const Matrix& a, const PackedInt8B& packed, Matrix* c,
                        const Config& config);
 
 /// Process-wide configuration used by the MatMul* wrappers in matrix.h.
-/// Defaults to the serial blocked kernel with CPU dispatch enabled.
+/// Defaults to the blocked kernel with CPU dispatch enabled.
 const Config& DefaultConfig();
 
 /// Replaces the process-wide default. Not synchronised: call during

@@ -26,13 +26,6 @@ BatchPredictor::BatchPredictor(std::shared_ptr<const ModelBundle> bundle,
   scratches_.resize(pool_.num_threads());
 }
 
-BatchPredictor::BatchPredictor(const SatoModel& model,
-                               const FeatureContext* context,
-                               features::FeatureScaler scaler,
-                               const BatchPredictorOptions& options)
-    : BatchPredictor(ModelBundle::Borrowed(model, context, std::move(scaler)),
-                     options) {}
-
 uint64_t BatchPredictor::TableSeed(uint64_t base_seed, size_t table_index) {
   // splitmix64 over (base_seed, index): cheap, stateless, and well mixed,
   // so neighbouring tables get uncorrelated streams.

@@ -6,10 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "core/feature_context.h"
 #include "core/predictor.h"
-#include "core/sato_model.h"
-#include "features/pipeline.h"
 #include "nn/workspace.h"
 #include "serve/model_registry.h"
 #include "serve/thread_pool.h"
@@ -57,13 +54,6 @@ class BatchPredictor {
   BatchPredictor(std::shared_ptr<const ModelBundle> bundle,
                  const BatchPredictorOptions& options);
 
-  /// Legacy borrow-based construction: wraps the borrowed components into
-  /// an unregistered bundle (version 0). `model` and `*context` must
-  /// outlive the predictor.
-  BatchPredictor(const SatoModel& model, const FeatureContext* context,
-                 features::FeatureScaler scaler,
-                 const BatchPredictorOptions& options);
-
   /// Predicted semantic type ids for every table, in input order.
   std::vector<std::vector<TypeId>> PredictTables(
       const std::vector<Table>& tables);
@@ -85,7 +75,7 @@ class BatchPredictor {
   /// once hot-swappable ownership arrived.
   const std::shared_ptr<const ModelBundle>& bundle() const { return bundle_; }
 
-  /// Version id of the pinned bundle (0 for unregistered legacy bundles).
+  /// Version id of the pinned bundle.
   uint64_t model_version() const { return bundle_->version(); }
 
   /// Bytes of scratch currently pooled across all worker workspaces and

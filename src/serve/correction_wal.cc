@@ -115,6 +115,13 @@ bool CorrectionWal::Append(const Correction& correction) {
     return false;
   }
   const std::string payload = EncodePayload(correction);
+  if (payload.size() > kMaxRecordBytes) {
+    // Replay treats a longer record as a corrupt length and truncates the
+    // log there, losing it and every record after it: refuse it before
+    // writing a byte, so no correction is acknowledged only to vanish.
+    ++failures_;
+    return false;
+  }
   std::string record;
   record.reserve(payload.size() + 8);
   AppendU32(&record, static_cast<uint32_t>(payload.size()));

@@ -71,9 +71,9 @@ struct WalReplayResult {
 /// is always in the log (append happens strictly before the ack, and
 /// with fsync kAlways, before the ack durably).
 ///
-/// Usage: call Replay(path) FIRST (it truncates any torn tail), feed the
-/// returned corrections into the registry, then construct the appender on
-/// the same path and attach it via ModelRegistry::AttachCorrectionWal.
+/// Usage: call Replay(path) FIRST (it truncates any torn tail and returns
+/// every durable correction), then construct the appender on the same
+/// path and attach it via ModelRegistry::AttachCorrectionWal.
 /// Thread-safe appends (one internal mutex).
 class CorrectionWal {
  public:
@@ -92,9 +92,11 @@ class CorrectionWal {
 
   /// Appends one record. True only when the record is fully written (and
   /// synced, under fsync kAlways) -- the caller must not acknowledge the
-  /// correction otherwise. On a short write the file is truncated back to
-  /// the last good record so a failed append can never leave a torn
-  /// middle for later appends to bury.
+  /// correction otherwise. A payload over kMaxRecordBytes is refused
+  /// before any byte is written (Replay could not read it back). On a
+  /// short write the file is truncated back to the last good record so a
+  /// failed append can never leave a torn middle for later appends to
+  /// bury.
   bool Append(const Correction& correction);
 
   /// Replays `path`, truncating any torn/corrupt tail in place (loud log

@@ -23,18 +23,6 @@ ModelBundle::ModelBundle(std::shared_ptr<const SatoModel> model,
   }
 }
 
-std::shared_ptr<const ModelBundle> ModelBundle::Borrowed(
-    const SatoModel& model, const FeatureContext* context,
-    features::FeatureScaler scaler, std::string tag) {
-  // Non-owning aliases: the shared_ptrs share a null control block, so
-  // destruction frees nothing -- lifetime stays with the caller, exactly
-  // like the raw-borrow constructors this bridges from.
-  return std::make_shared<const ModelBundle>(
-      std::shared_ptr<const SatoModel>(std::shared_ptr<void>(), &model),
-      std::shared_ptr<const FeatureContext>(std::shared_ptr<void>(), context),
-      std::move(scaler), std::move(tag), /*version=*/0);
-}
-
 std::shared_ptr<const ModelBundle> ModelRegistry::Publish(
     std::shared_ptr<const SatoModel> model,
     std::shared_ptr<const FeatureContext> context,
@@ -61,27 +49,9 @@ std::shared_ptr<const ModelBundle> ModelRegistry::Publish(
   return bundle;
 }
 
-std::shared_ptr<const ModelBundle> ModelRegistry::PublishBorrowed(
-    const SatoModel& model, const FeatureContext* context,
-    features::FeatureScaler scaler, std::string tag) {
-  return Publish(
-      std::shared_ptr<const SatoModel>(std::shared_ptr<void>(), &model),
-      std::shared_ptr<const FeatureContext>(std::shared_ptr<void>(), context),
-      std::move(scaler), std::move(tag));
-}
-
 uint64_t ModelRegistry::current_version() const {
   auto bundle = Current();
   return bundle != nullptr ? bundle->version() : 0;
-}
-
-std::shared_ptr<const ModelBundle> ModelRegistry::PinVersion(
-    uint64_t version) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const VersionRecord& record : history_) {
-    if (record.version == version) return record.bundle.lock();
-  }
-  return nullptr;
 }
 
 RegistryStats ModelRegistry::Stats() const {
@@ -102,7 +72,6 @@ RegistryStats ModelRegistry::Stats() const {
     stats.versions.push_back(std::move(info));
   }
   stats.corrections_submitted = corrections_submitted_;
-  stats.corrections_dropped = corrections_dropped_;
   stats.corrections_wal_failed = corrections_wal_failed_;
   return stats;
 }
@@ -112,42 +81,16 @@ void ModelRegistry::AttachCorrectionWal(CorrectionWal* wal) {
   wal_ = wal;
 }
 
-bool ModelRegistry::SubmitCorrection(Correction correction) {
+bool ModelRegistry::SubmitCorrection(const Correction& correction) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++corrections_submitted_;
-  // Durability first: the WAL append happens strictly before the
-  // in-memory record, so "accepted" always means "replayable". A failed
-  // append records NOTHING -- a correction half-present in memory but
-  // absent from the log would silently evaporate on restart.
+  // Durability gates the ack: "accepted" always means "replayable", so a
+  // failed append is reported and the caller withholds the ack.
   if (wal_ != nullptr && !wal_->Append(correction)) {
     ++corrections_wal_failed_;
     return false;
   }
-  while (corrections_.size() >= max_corrections_) {
-    corrections_.pop_front();
-    ++corrections_dropped_;
-  }
-  corrections_.push_back(std::move(correction));
   return true;
-}
-
-std::vector<Correction> ModelRegistry::Corrections() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::vector<Correction>(corrections_.begin(), corrections_.end());
-}
-
-void ModelRegistry::set_max_corrections(size_t n) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  max_corrections_ = n > 0 ? n : 1;
-  while (corrections_.size() > max_corrections_) {
-    corrections_.pop_front();
-    ++corrections_dropped_;
-  }
-}
-
-size_t ModelRegistry::max_corrections() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return max_corrections_;
 }
 
 }  // namespace sato::serve

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,14 +32,13 @@ struct VersionCounters {
 ///
 /// A bundle is IMMUTABLE after construction and always handled through
 /// `std::shared_ptr<const ModelBundle>`: whoever holds the pointer holds a
-/// *pin* -- the bundle (and the model/context behind it, when owned) stays
-/// alive exactly until the last pin drops. That is the entire hot-swap
+/// *pin* -- the bundle (and the model/context behind it) stays alive
+/// exactly until the last pin drops. That is the entire hot-swap
 /// story: publishing a new version never invalidates anything an in-flight
 /// batch is reading.
 ///
-/// Version 0 means "unregistered" (a bundle wrapped around borrowed
-/// components outside any registry, e.g. the legacy borrow-based
-/// constructors); registries assign versions starting at 1.
+/// Bundles are built by ModelRegistry::Publish, which assigns versions
+/// starting at 1.
 class ModelBundle {
  public:
   /// Owning construction: the bundle keeps the model and context alive.
@@ -49,13 +47,6 @@ class ModelBundle {
               std::shared_ptr<const FeatureContext> context,
               features::FeatureScaler scaler, std::string tag,
               uint64_t version);
-
-  /// Wraps BORROWED components into an unregistered (version 0) bundle:
-  /// the caller guarantees `model` and `*context` outlive every pin.
-  /// This is the bridge from the legacy raw-borrow constructors.
-  static std::shared_ptr<const ModelBundle> Borrowed(
-      const SatoModel& model, const FeatureContext* context,
-      features::FeatureScaler scaler, std::string tag = "borrowed");
 
   ModelBundle(const ModelBundle&) = delete;
   ModelBundle& operator=(const ModelBundle&) = delete;
@@ -101,7 +92,8 @@ class ModelBundle {
 };
 
 /// One user correction (the AdaTyper adaptation hook, arXiv:2311.13806):
-/// "this column is actually type T". Recorded, not yet learned from.
+/// "this column is actually type T". Recorded in the CorrectionWal, not yet
+/// learned from.
 struct Correction {
   std::string column_name;  ///< header or caller-side identifier
   TypeId corrected_type = 0;
@@ -121,7 +113,6 @@ struct RegistryStats {
   uint64_t current_version = 0;  ///< 0 when nothing is published yet
   std::vector<VersionInfo> versions;  ///< ascending by version
   uint64_t corrections_submitted = 0;
-  uint64_t corrections_dropped = 0;  ///< evicted from the bounded log
   /// Corrections refused because the attached WAL could not durably
   /// record them -- each one was answered with a typed failure, never a
   /// false ack.
@@ -139,9 +130,8 @@ struct RegistryStats {
 /// version is destroyed when its last pin drops, not at publish time).
 ///
 /// The registry itself only keeps a *weak* reference to superseded
-/// versions, so it never extends an old model's lifetime: `PinVersion`
-/// can revive a version only while someone still pins it (or it is
-/// current); once retired it returns nullptr.
+/// versions, so it never extends an old model's lifetime: a version is
+/// retired (Stats().versions[i].retired) once its last pin drops.
 ///
 /// Thread-safe throughout. Publishing is rare and cheap (a few atomic
 /// ops + history bookkeeping under a mutex); pinning is a single atomic
@@ -160,13 +150,6 @@ class ModelRegistry {
       std::shared_ptr<const FeatureContext> context,
       features::FeatureScaler scaler, std::string tag = std::string());
 
-  /// Publishes a new version around BORROWED components (caller
-  /// guarantees lifetime). The bridge for call sites that still own the
-  /// model/context outright, e.g. tests and benchmarks.
-  std::shared_ptr<const ModelBundle> PublishBorrowed(
-      const SatoModel& model, const FeatureContext* context,
-      features::FeatureScaler scaler, std::string tag = std::string());
-
   /// The current version, pinned. Null until the first Publish.
   std::shared_ptr<const ModelBundle> Current() const {
     return current_.load(std::memory_order_acquire);
@@ -175,40 +158,25 @@ class ModelRegistry {
   /// Version id of the current bundle; 0 before the first Publish.
   uint64_t current_version() const;
 
-  /// Pins a specific version: the current bundle, or an older one that is
-  /// still alive (someone else pins it). Returns null for unknown or
-  /// retired versions -- the registry never resurrects freed models.
-  std::shared_ptr<const ModelBundle> PinVersion(uint64_t version) const;
-
   /// Consistent snapshot: per-version served counts and retirement state,
-  /// plus correction-log counters.
+  /// plus correction counters.
   RegistryStats Stats() const;
 
-  // ---- AdaTyper adaptation hook (correction log only; no learning yet) --
+  // ---- AdaTyper adaptation hook (corrections recorded; no learning yet) --
 
-  /// Attaches a durable write-ahead log (serve/correction_wal.h): every
-  /// subsequent SubmitCorrection appends to the WAL BEFORE touching the
-  /// in-memory log, and fails without recording anything when the WAL
-  /// append fails -- so a correction the caller acknowledges is always
-  /// replayable after a crash. Borrowed; pass nullptr to detach, and
-  /// detach (or destroy the registry) before destroying the WAL.
+  /// Attaches the durable write-ahead log (serve/correction_wal.h), the
+  /// one store for corrections: every subsequent SubmitCorrection appends
+  /// to it before returning, so a correction the caller acknowledges is
+  /// always replayable after a crash. Borrowed; pass nullptr to detach,
+  /// and detach (or destroy the registry) before destroying the WAL.
   void AttachCorrectionWal(CorrectionWal* wal);
 
-  /// Appends one user correction to the bounded in-memory log (evicting
-  /// the oldest entry when full -- see Stats().corrections_dropped) and,
-  /// when a WAL is attached, to durable storage first. Returns true when
-  /// the correction was accepted; false ONLY when the attached WAL could
-  /// not record it, in which case the correction is dropped entirely and
-  /// the caller must not acknowledge it.
-  bool SubmitCorrection(Correction correction);
-
-  /// Snapshot of the retained corrections, oldest first.
-  std::vector<Correction> Corrections() const;
-
-  /// Bound on the retained correction log (default 1024). Shrinking it
-  /// evicts oldest entries immediately.
-  void set_max_corrections(size_t n);
-  size_t max_corrections() const;
+  /// Records one user correction: appends it to the attached WAL and
+  /// counts it. Returns true when the correction was accepted; false ONLY
+  /// when the attached WAL could not record it, in which case the caller
+  /// must not acknowledge it. With no WAL attached the correction is
+  /// counted and accepted, but not stored.
+  bool SubmitCorrection(const Correction& correction);
 
  private:
   struct VersionRecord {
@@ -222,15 +190,12 @@ class ModelRegistry {
   // store it while holding mutex_ so versions install monotonically.
   std::atomic<std::shared_ptr<const ModelBundle>> current_;
 
-  mutable std::mutex mutex_;  // history + correction log
+  mutable std::mutex mutex_;  // history + correction counters
   uint64_t next_version_ = 1;
   std::vector<VersionRecord> history_;
-  std::deque<Correction> corrections_;
-  size_t max_corrections_ = 1024;
   uint64_t corrections_submitted_ = 0;
-  uint64_t corrections_dropped_ = 0;
   uint64_t corrections_wal_failed_ = 0;
-  CorrectionWal* wal_ = nullptr;  // borrowed durable log; null = memory only
+  CorrectionWal* wal_ = nullptr;  // borrowed durable log; null = count only
 };
 
 }  // namespace sato::serve

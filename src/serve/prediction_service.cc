@@ -74,14 +74,6 @@ ModelRegistry* ValidateRegistry(ModelRegistry* registry) {
   return registry;
 }
 
-std::unique_ptr<ModelRegistry> MakeSingleVersionRegistry(
-    const SatoModel& model, const FeatureContext* context,
-    features::FeatureScaler scaler) {
-  auto registry = std::make_unique<ModelRegistry>();
-  registry->PublishBorrowed(model, context, std::move(scaler), "borrowed");
-  return registry;
-}
-
 }  // namespace
 
 const char* RequestStatusName(RequestStatus status) {
@@ -134,20 +126,6 @@ PredictionService::PredictionService(ModelRegistry* registry,
   // and resolving its handle.
   latencies_.reserve(kLatencyWindow);
 }
-
-PredictionService::PredictionService(std::unique_ptr<ModelRegistry> owned,
-                                     const PredictionServiceOptions& options)
-    : PredictionService(owned.get(), options) {
-  own_registry_ = std::move(owned);
-}
-
-PredictionService::PredictionService(const SatoModel& model,
-                                     const FeatureContext* context,
-                                     features::FeatureScaler scaler,
-                                     const PredictionServiceOptions& options)
-    : PredictionService(
-          MakeSingleVersionRegistry(model, context, std::move(scaler)),
-          options) {}
 
 PredictionService::~PredictionService() { Shutdown(); }
 

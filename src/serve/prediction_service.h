@@ -10,10 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/feature_context.h"
 #include "core/predictor.h"
-#include "core/sato_model.h"
-#include "features/pipeline.h"
 #include "nn/workspace.h"
 #include "serve/clock.h"
 #include "serve/fault_injector.h"
@@ -214,14 +211,6 @@ class PredictionService {
   PredictionService(ModelRegistry* registry,
                     const PredictionServiceOptions& options);
 
-  /// Legacy borrow-based construction: wraps the borrowed components into
-  /// an internal single-version registry. `model` and `context` (and
-  /// options.clock when set) must outlive the service. No model state is
-  /// copied.
-  PredictionService(const SatoModel& model, const FeatureContext* context,
-                    features::FeatureScaler scaler,
-                    const PredictionServiceOptions& options);
-
   /// Shuts down (drains admitted requests) if Shutdown was not called.
   ~PredictionService();
 
@@ -278,17 +267,10 @@ class PredictionService {
   /// Version id the next micro-batch will serve.
   uint64_t model_version() const { return registry_->current_version(); }
 
-  /// The registry this service serves from (never null). The compat
-  /// constructors expose their internal single-version registry here, so
-  /// corrections can be submitted against any service.
+  /// The registry this service serves from (never null).
   ModelRegistry* registry() const { return registry_; }
 
  private:
-  /// Compat-ctor plumbing: adopts ownership of the internal registry
-  /// after delegating to the registry-serving constructor.
-  PredictionService(std::unique_ptr<ModelRegistry> owned,
-                    const PredictionServiceOptions& options);
-
   void BatcherLoop();
   void ExecuteRequest(const std::shared_ptr<internal::RequestState>& state,
                       const std::shared_ptr<const ModelBundle>& bundle,
@@ -297,8 +279,7 @@ class PredictionService {
   PredictionServiceOptions options_;      // sanitized copy
   std::unique_ptr<SteadyClock> own_clock_;  // set when options.clock == null
   Clock* clock_;                          // the clock actually used
-  std::unique_ptr<ModelRegistry> own_registry_;  // compat ctor only
-  ModelRegistry* registry_;               // the registry actually served
+  ModelRegistry* registry_;               // borrowed; the registry served
   std::vector<nn::Workspace> workspaces_;            // one per worker
   std::vector<SatoPredictor::Scratch> scratches_;    // one per worker
   // Per-worker context binding: worker w touches entry w exclusively (the

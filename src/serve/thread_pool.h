@@ -17,7 +17,8 @@ namespace sato::serve {
 /// Tasks receive the index of the worker running them (0 .. num_threads-1),
 /// which lets callers keep worker-local state -- the BatchPredictor uses it
 /// to route each table to a worker-private nn::Workspace while every
-/// worker reads the same shared, immutable model.
+/// worker reads the same shared, immutable model. Parallelism is across
+/// tables only: each task runs the serial GEMM kernel (nn/gemm.h).
 ///
 /// The pool is created once and reused across batches; Wait() blocks until
 /// the queue is empty *and* every in-flight task has finished, so a
@@ -38,7 +39,7 @@ class ThreadPool {
   /// pool: the first escaped exception_ptr is captured and rethrown by
   /// the next Wait() (later escapes before that Wait are dropped).
   /// Callers that need per-batch attribution still capture their own
-  /// errors inside the task, as the BatchPredictor and GemmParallelFor do.
+  /// errors inside the task, as the BatchPredictor does.
   void Submit(std::function<void(size_t worker)> task);
 
   /// Blocks until all submitted tasks have completed, then rethrows the
@@ -61,10 +62,6 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
-
-// serve/gemm_parallel_for.h adapts a ThreadPool to the GEMM kernel's
-// column-parallel barrier (kept out of this header so ThreadPool
-// consumers don't depend on the nn/gemm.h API).
 
 }  // namespace sato::serve
 

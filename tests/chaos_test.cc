@@ -402,57 +402,57 @@ class ChaosServingTest : public ::testing::Test {
     config_ = new SatoConfig();
     config_->num_topics = 8;
     util::Rng rng(19);
-    context_ =
-        new FeatureContext(FeatureContext::Build(reference, *config_, &rng));
+    context_ = std::make_shared<const FeatureContext>(
+        FeatureContext::Build(reference, *config_, &rng));
 
-    DatasetBuilder builder(context_);
+    DatasetBuilder builder(context_.get());
     Dataset train = builder.Build(*tables_, &rng);
     scaler_ = new features::FeatureScaler(StandardizeSplits(&train, nullptr));
-    model_ = new SatoModel(MakeModel(33));
+    model_ = MakeModel(33);
   }
 
   static void TearDownTestSuite() {
-    delete model_;
+    model_.reset();
     delete scaler_;
-    delete context_;
+    context_.reset();
     delete config_;
     delete tables_;
   }
 
-  static SatoModel MakeModel(uint64_t seed) {
+  static std::shared_ptr<const SatoModel> MakeModel(uint64_t seed) {
     ColumnwiseModel::Dims dims;
     dims.char_dim = context_->pipeline().char_dim();
     dims.word_dim = context_->pipeline().word_dim();
     dims.para_dim = context_->pipeline().para_dim();
     dims.stat_dim = context_->pipeline().stat_dim();
     util::Rng rng(seed);
-    return SatoModel(SatoVariant::kFull, dims, context_->topic_dim(), *config_,
-                     &rng);
+    return std::make_shared<const SatoModel>(
+        SatoVariant::kFull, dims, context_->topic_dim(), *config_, &rng);
   }
 
   /// The determinism oracle every kOk response must be byte-identical to.
   static std::vector<TypeId> Sequential(const Table& table, uint64_t seed) {
-    SatoPredictor predictor(model_, context_, *scaler_);
+    SatoPredictor predictor(model_.get(), context_.get(), *scaler_);
     util::Rng rng(seed);
     return predictor.PredictTable(table, &rng);
   }
 
   static std::vector<Table>* tables_;
   static SatoConfig* config_;
-  static FeatureContext* context_;
+  static std::shared_ptr<const FeatureContext> context_;
   static features::FeatureScaler* scaler_;
-  static SatoModel* model_;
+  static std::shared_ptr<const SatoModel> model_;
 };
 
 std::vector<Table>* ChaosServingTest::tables_ = nullptr;
 SatoConfig* ChaosServingTest::config_ = nullptr;
-FeatureContext* ChaosServingTest::context_ = nullptr;
+std::shared_ptr<const FeatureContext> ChaosServingTest::context_;
 features::FeatureScaler* ChaosServingTest::scaler_ = nullptr;
-SatoModel* ChaosServingTest::model_ = nullptr;
+std::shared_ptr<const SatoModel> ChaosServingTest::model_;
 
 TEST_F(ChaosServingTest, BackoffSequenceIsExactOnTheFakeClock) {
   ModelRegistry registry;
-  registry.PublishBorrowed(*model_, context_, *scaler_);
+  registry.Publish(model_, context_, *scaler_);
   PredictionServiceOptions sopts;
   sopts.num_threads = 1;
   PredictionService service(&registry, sopts);
@@ -510,7 +510,7 @@ TEST_F(ChaosServingTest, BackoffSequenceIsExactOnTheFakeClock) {
 
 TEST_F(ChaosServingTest, BackoffThatWouldOutliveTheDeadlineReturnsTypedError) {
   ModelRegistry registry;
-  registry.PublishBorrowed(*model_, context_, *scaler_);
+  registry.Publish(model_, context_, *scaler_);
   PredictionServiceOptions sopts;
   sopts.num_threads = 1;
   PredictionService service(&registry, sopts);
@@ -556,7 +556,7 @@ TEST_F(ChaosServingTest, BackoffThatWouldOutliveTheDeadlineReturnsTypedError) {
 TEST_F(ChaosServingTest, ExpiredDeadlineIsShedByTheBatcherTyped) {
   FakeClock clock;
   ModelRegistry registry;
-  registry.PublishBorrowed(*model_, context_, *scaler_);
+  registry.Publish(model_, context_, *scaler_);
   PredictionServiceOptions options;
   options.num_threads = 1;
   options.max_batch_size = 8;
@@ -585,7 +585,7 @@ TEST_F(ChaosServingTest, ExpiredDeadlineIsShedByTheBatcherTyped) {
 
 TEST_F(ChaosServingTest, WireDeadlinePropagatesAndShedsServerSide) {
   ModelRegistry registry;
-  registry.PublishBorrowed(*model_, context_, *scaler_);
+  registry.Publish(model_, context_, *scaler_);
   PredictionServiceOptions sopts;
   sopts.num_threads = 1;
   sopts.max_batch_size = 64;
@@ -648,7 +648,7 @@ class ChaosBatteryTest : public ChaosServingTest {
     CorrectionWal wal(wal_path, wal_opts);
     ModelRegistry registry;
     registry.AttachCorrectionWal(&wal);
-    registry.PublishBorrowed(*model_, context_, *scaler_);
+    registry.Publish(model_, context_, *scaler_);
     const uint64_t version = registry.current_version();
 
     ResultCacheOptions cache_opts;

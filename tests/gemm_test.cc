@@ -1,7 +1,7 @@
 // Tests for the blocked GEMM kernel (nn/gemm.h): blocked-vs-reference
 // parity on all four MatMul routings, edge shapes (1xN, Nx1, empty,
-// non-multiple-of-block dims), the reference escape hatch, and bitwise
-// determinism of the column-parallel split at any chunk/thread count.
+// non-multiple-of-block dims), the reference escape hatch, and the int8
+// quantized path.
 
 #include "nn/gemm.h"
 
@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "nn/matrix.h"
-#include "serve/gemm_parallel_for.h"
-#include "serve/thread_pool.h"
 #include "util/rng.h"
 
 namespace sato::nn {
@@ -200,83 +198,6 @@ TEST(GemmTest, CpuDispatchDisabledStaysWithinTolerance) {
   EXPECT_LT(MaxAbsDiff(dispatched, portable), 1e-12);
 }
 
-TEST(GemmTest, ParallelSplitIsBitwiseIdenticalToSerial) {
-  util::Rng rng(19);
-  Matrix a = Matrix::Gaussian(37, 53, 1.0, &rng);
-  Matrix b = Matrix::Gaussian(53, 141, 1.0, &rng);
-  Matrix serial;
-  gemm::Gemm(a, b, &serial);
-
-  serve::ThreadPool pool(3);
-  for (size_t chunks : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
-                        size_t{500} /* more chunks than columns */}) {
-    // Derive from DefaultConfig so the split runs the same micro-kernel as
-    // the serial baseline above (DefaultConfig honours the dispatch env var;
-    // a fresh Config would pin FMA on and diverge bitwise).
-    gemm::Config par = gemm::DefaultConfig();
-    par.parallel_for = serve::GemmParallelFor(&pool);
-    par.parallel_chunks = chunks;
-    par.parallel_min_columns = 1;
-    Matrix split;
-    gemm::Gemm(a, b, &split, par);
-    EXPECT_EQ(split, serial) << "chunks=" << chunks;
-  }
-}
-
-TEST(GemmTest, ParallelSplitCoversTransposedVariants) {
-  util::Rng rng(20);
-  serve::ThreadPool pool(2);
-  gemm::Config par = gemm::DefaultConfig();  // match the serial baselines
-  par.parallel_for = serve::GemmParallelFor(&pool);
-  par.parallel_chunks = 4;
-  par.parallel_min_columns = 1;
-
-  Matrix a = Matrix::Gaussian(30, 26, 1.0, &rng);   // [k=30, m=26] for A^T
-  Matrix b = Matrix::Gaussian(30, 90, 1.0, &rng);
-  Matrix serial, split;
-  gemm::GemmTransposeA(a, b, &serial);
-  gemm::GemmTransposeA(a, b, &split, par);
-  EXPECT_EQ(split, serial);
-
-  Matrix ta = Matrix::Gaussian(26, 30, 1.0, &rng);
-  Matrix tb = Matrix::Gaussian(90, 30, 1.0, &rng);  // [n=90, k=30] for B^T
-  gemm::GemmTransposeB(ta, tb, &serial);
-  gemm::GemmTransposeB(ta, tb, &split, par);
-  EXPECT_EQ(split, serial);
-}
-
-TEST(GemmTest, SmallMatricesSkipTheParallelBarrier) {
-  // Below parallel_min_columns the kernel must not touch the pool at all
-  // -- validated by handing it a ParallelFor that fails the test if used.
-  gemm::Config par;
-  par.parallel_for = [](size_t, const std::function<void(size_t)>&) {
-    FAIL() << "parallel_for invoked below parallel_min_columns";
-  };
-  par.parallel_min_columns = 128;
-  util::Rng rng(21);
-  Matrix a = Matrix::Gaussian(16, 16, 1.0, &rng);
-  Matrix b = Matrix::Gaussian(16, 32, 1.0, &rng);
-  Matrix c, reference;
-  gemm::Gemm(a, b, &c, par);
-  gemm::ReferenceGemm(a, b, &reference);
-  EXPECT_LT(MaxAbsDiff(c, reference), 1e-12);
-}
-
-TEST(GemmTest, PoolParallelForRethrowsChunkExceptions) {
-  // The adapter must honour the ThreadPool error contract: capture chunk
-  // exceptions and rethrow after the barrier, never return silently with
-  // a half-written result.
-  serve::ThreadPool pool(2);
-  nn::gemm::ParallelFor parallel_for = serve::GemmParallelFor(&pool);
-  EXPECT_THROW(parallel_for(4,
-                            [](size_t chunk) {
-                              if (chunk == 1) {
-                                throw std::runtime_error("chunk failure");
-                              }
-                            }),
-               std::runtime_error);
-}
-
 TEST(GemmTest, KernelNameReflectsConfig) {
   // DefaultConfig honours SATO_DISABLE_CPU_DISPATCH, so only pin the name
   // set here and the explicit dispatch-off spelling.
@@ -362,25 +283,6 @@ TEST(GemmTest, Int8BitwiseIdenticalAcrossMicroKernels) {
     gemm::Gemm(a, b, &dispatched, Int8Config(/*dispatch=*/true));
     gemm::Gemm(a, b, &generic, Int8Config(/*dispatch=*/false));
     EXPECT_EQ(dispatched, generic) << s.m << "x" << s.k << "x" << s.n;
-  }
-}
-
-TEST(GemmTest, Int8ParallelSplitIsBitwiseIdenticalToSerial) {
-  util::Rng rng(33);
-  Matrix a = Matrix::Gaussian(37, 53, 1.0, &rng);
-  Matrix b = Matrix::Gaussian(53, 141, 1.0, &rng);
-  Matrix serial;
-  gemm::Gemm(a, b, &serial, Int8Config());
-
-  serve::ThreadPool pool(3);
-  for (size_t chunks : {size_t{1}, size_t{3}, size_t{500}}) {
-    gemm::Config par = Int8Config();
-    par.parallel_for = serve::GemmParallelFor(&pool);
-    par.parallel_chunks = chunks;
-    par.parallel_min_columns = 1;
-    Matrix split;
-    gemm::Gemm(a, b, &split, par);
-    EXPECT_EQ(split, serial) << "chunks=" << chunks;
   }
 }
 

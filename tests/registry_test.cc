@@ -1,8 +1,8 @@
 // Unit battery for the versioned model registry (serve::ModelRegistry /
 // serve::ModelBundle): monotonic version assignment, RCU pin semantics
 // (old versions live exactly as long as their last pin), per-version
-// served/retired stats, the bounded correction log (the AdaTyper
-// adaptation hook), and concurrent publish/pin safety.
+// served/retired stats, and concurrent publish/pin safety. Corrections
+// are covered with the WAL that stores them, in wal_test.
 
 #include <atomic>
 #include <memory>
@@ -25,7 +25,6 @@
 namespace sato {
 namespace {
 
-using serve::Correction;
 using serve::ModelBundle;
 using serve::ModelRegistry;
 using serve::RegistryStats;
@@ -47,51 +46,41 @@ class ModelRegistryTest : public ::testing::Test {
     config_ = new SatoConfig();
     config_->num_topics = 8;
     util::Rng rng(29);
-    context_ =
-        new FeatureContext(FeatureContext::Build(reference, *config_, &rng));
+    context_ = std::make_shared<const FeatureContext>(
+        FeatureContext::Build(reference, *config_, &rng));
 
-    DatasetBuilder builder(context_);
+    DatasetBuilder builder(context_.get());
     Dataset train = builder.Build(*tables_, &rng);
     scaler_ = new features::FeatureScaler(StandardizeSplits(&train, nullptr));
   }
 
   static void TearDownTestSuite() {
     delete scaler_;
-    delete context_;
+    context_.reset();
     delete config_;
     delete tables_;
   }
 
-  static SatoModel MakeModel(uint64_t seed) {
+  static std::shared_ptr<const SatoModel> MakeModel(uint64_t seed) {
     ColumnwiseModel::Dims dims;
     dims.char_dim = context_->pipeline().char_dim();
     dims.word_dim = context_->pipeline().word_dim();
     dims.para_dim = context_->pipeline().para_dim();
     dims.stat_dim = context_->pipeline().stat_dim();
     util::Rng rng(seed);
-    return SatoModel(SatoVariant::kFull, dims, context_->topic_dim(), *config_,
-                     &rng);
-  }
-
-  static std::shared_ptr<const SatoModel> MakeSharedModel(uint64_t seed) {
-    return std::make_shared<const SatoModel>(MakeModel(seed));
-  }
-
-  /// Non-owning alias of the suite-wide context (outlives every test).
-  static std::shared_ptr<const FeatureContext> SharedContext() {
-    return std::shared_ptr<const FeatureContext>(std::shared_ptr<void>(),
-                                                 context_);
+    return std::make_shared<const SatoModel>(
+        SatoVariant::kFull, dims, context_->topic_dim(), *config_, &rng);
   }
 
   static std::vector<Table>* tables_;
   static SatoConfig* config_;
-  static FeatureContext* context_;
+  static std::shared_ptr<const FeatureContext> context_;
   static features::FeatureScaler* scaler_;
 };
 
 std::vector<Table>* ModelRegistryTest::tables_ = nullptr;
 SatoConfig* ModelRegistryTest::config_ = nullptr;
-FeatureContext* ModelRegistryTest::context_ = nullptr;
+std::shared_ptr<const FeatureContext> ModelRegistryTest::context_;
 features::FeatureScaler* ModelRegistryTest::scaler_ = nullptr;
 
 // ------------------------------------------------ publish & versioning ----
@@ -100,7 +89,6 @@ TEST_F(ModelRegistryTest, CurrentIsNullBeforeTheFirstPublish) {
   ModelRegistry registry;
   EXPECT_EQ(registry.Current(), nullptr);
   EXPECT_EQ(registry.current_version(), 0u);
-  EXPECT_EQ(registry.PinVersion(1), nullptr);
   RegistryStats stats = registry.Stats();
   EXPECT_EQ(stats.published, 0u);
   EXPECT_EQ(stats.current_version, 0u);
@@ -109,10 +97,10 @@ TEST_F(ModelRegistryTest, CurrentIsNullBeforeTheFirstPublish) {
 
 TEST_F(ModelRegistryTest, PublishAssignsMonotonicVersionsAndDefaultTags) {
   ModelRegistry registry;
-  auto v1 = registry.Publish(MakeSharedModel(1), SharedContext(), *scaler_,
+  auto v1 = registry.Publish(MakeModel(1), context_, *scaler_,
                              "first");
-  auto v2 = registry.Publish(MakeSharedModel(2), SharedContext(), *scaler_);
-  auto v3 = registry.Publish(MakeSharedModel(3), SharedContext(), *scaler_);
+  auto v2 = registry.Publish(MakeModel(2), context_, *scaler_);
+  auto v3 = registry.Publish(MakeModel(3), context_, *scaler_);
 
   EXPECT_EQ(v1->version(), 1u);
   EXPECT_EQ(v2->version(), 2u);
@@ -132,60 +120,29 @@ TEST_F(ModelRegistryTest, PublishAssignsMonotonicVersionsAndDefaultTags) {
 
 TEST_F(ModelRegistryTest, PublishRejectsNullComponents) {
   ModelRegistry registry;
-  EXPECT_THROW(registry.Publish(nullptr, SharedContext(), *scaler_),
+  EXPECT_THROW(registry.Publish(nullptr, context_, *scaler_),
                std::invalid_argument);
-  EXPECT_THROW(registry.Publish(MakeSharedModel(1), nullptr, *scaler_),
+  EXPECT_THROW(registry.Publish(MakeModel(1), nullptr, *scaler_),
                std::invalid_argument);
-}
-
-TEST_F(ModelRegistryTest, BorrowedBundleIsVersionZero) {
-  const SatoModel model = MakeModel(5);
-  auto bundle = ModelBundle::Borrowed(model, context_, *scaler_);
-  EXPECT_EQ(bundle->version(), 0u);
-  EXPECT_EQ(bundle->tag(), "borrowed");
-  EXPECT_EQ(&bundle->model(), &model);
-  EXPECT_EQ(bundle->context(), context_);
 }
 
 // ----------------------------------------------------- RCU pin lifetime ----
-
-TEST_F(ModelRegistryTest, PinVersionRevivesLiveVersionsAndRefusesRetired) {
-  ModelRegistry registry;
-  auto v1 = registry.Publish(MakeSharedModel(1), SharedContext(), *scaler_);
-  registry.Publish(MakeSharedModel(2), SharedContext(), *scaler_);
-
-  // v1 is superseded but still pinned by us: PinVersion can revive it.
-  auto pinned = registry.PinVersion(1);
-  ASSERT_NE(pinned, nullptr);
-  EXPECT_EQ(pinned, v1);
-
-  // Unknown versions (and version 0) pin nothing.
-  EXPECT_EQ(registry.PinVersion(0), nullptr);
-  EXPECT_EQ(registry.PinVersion(99), nullptr);
-
-  // Drop every pin on v1: it retires, and the registry refuses to
-  // resurrect it (it holds only a weak reference).
-  pinned.reset();
-  v1.reset();
-  EXPECT_EQ(registry.PinVersion(1), nullptr);
-  EXPECT_NE(registry.PinVersion(2), nullptr);  // current stays pinnable
-}
 
 TEST_F(ModelRegistryTest, SupersededBundleIsDestroyedWhenItsLastPinDrops) {
   ModelRegistry registry;
   std::weak_ptr<const SatoModel> model_alive;
   std::weak_ptr<const ModelBundle> bundle_alive;
   {
-    auto model = MakeSharedModel(7);
+    auto model = MakeModel(7);
     model_alive = model;
-    auto v1 = registry.Publish(std::move(model), SharedContext(), *scaler_);
+    auto v1 = registry.Publish(std::move(model), context_, *scaler_);
     bundle_alive = v1;
   }  // our pin dropped; the registry's current_ keeps v1 alive
 
   EXPECT_FALSE(bundle_alive.expired());
   EXPECT_FALSE(model_alive.expired());
 
-  registry.Publish(MakeSharedModel(8), SharedContext(), *scaler_);
+  registry.Publish(MakeModel(8), context_, *scaler_);
   // Superseded with no remaining pins: the bundle AND the model it owned
   // are gone -- publish never leaks retired versions.
   EXPECT_TRUE(bundle_alive.expired());
@@ -200,11 +157,11 @@ TEST_F(ModelRegistryTest, SupersededBundleIsDestroyedWhenItsLastPinDrops) {
 TEST_F(ModelRegistryTest, ServedCountsSurviveRetirement) {
   ModelRegistry registry;
   {
-    auto v1 = registry.Publish(MakeSharedModel(7), SharedContext(), *scaler_);
+    auto v1 = registry.Publish(MakeModel(7), context_, *scaler_);
     v1->RecordServed(5);
     EXPECT_EQ(v1->served(), 5u);
   }
-  registry.Publish(MakeSharedModel(8), SharedContext(), *scaler_);
+  registry.Publish(MakeModel(8), context_, *scaler_);
 
   RegistryStats stats = registry.Stats();
   ASSERT_EQ(stats.versions.size(), 2u);
@@ -217,10 +174,10 @@ TEST_F(ModelRegistryTest, ServedCountsSurviveRetirement) {
 
 TEST_F(ModelRegistryTest, BundlePredictorMatchesARawPredictorByteForByte) {
   ModelRegistry registry;
-  const SatoModel model = MakeModel(11);
-  auto bundle = registry.PublishBorrowed(model, context_, *scaler_, "ref");
+  const auto model = MakeModel(11);
+  auto bundle = registry.Publish(model, context_, *scaler_, "ref");
 
-  SatoPredictor raw(&model, context_, *scaler_);
+  SatoPredictor raw(model.get(), context_.get(), *scaler_);
   for (size_t i = 0; i < 5 && i < tables_->size(); ++i) {
     util::Rng bundle_rng(17 + i);
     util::Rng raw_rng(17 + i);
@@ -228,44 +185,6 @@ TEST_F(ModelRegistryTest, BundlePredictorMatchesARawPredictorByteForByte) {
               raw.PredictTable((*tables_)[i], &raw_rng))
         << "table " << i;
   }
-}
-
-// ------------------------------------------------------ correction log ----
-
-TEST_F(ModelRegistryTest, CorrectionLogIsBoundedAndCountsDrops) {
-  ModelRegistry registry;
-  registry.set_max_corrections(2);
-  EXPECT_EQ(registry.max_corrections(), 2u);
-
-  EXPECT_TRUE(registry.SubmitCorrection({"name", 3, 1}));
-  EXPECT_TRUE(registry.SubmitCorrection({"city", 4, 1}));
-  // Third append evicts the oldest entry (visible in corrections_dropped)
-  // but is still ACCEPTED -- false is reserved for "not durably recorded"
-  // when a WAL is attached, so an eviction must never look like a failure.
-  EXPECT_TRUE(registry.SubmitCorrection({"year", 5, 2}));
-
-  std::vector<Correction> log = registry.Corrections();
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0].column_name, "city");  // oldest retained first
-  EXPECT_EQ(log[1].column_name, "year");
-  EXPECT_EQ(log[1].corrected_type, 5);
-  EXPECT_EQ(log[1].model_version, 2u);
-
-  RegistryStats stats = registry.Stats();
-  EXPECT_EQ(stats.corrections_submitted, 3u);
-  EXPECT_EQ(stats.corrections_dropped, 1u);
-}
-
-TEST_F(ModelRegistryTest, ShrinkingTheCorrectionBoundEvictsImmediately) {
-  ModelRegistry registry;
-  for (int i = 0; i < 4; ++i) {
-    registry.SubmitCorrection({"col" + std::to_string(i), i, 1});
-  }
-  registry.set_max_corrections(1);
-  std::vector<Correction> log = registry.Corrections();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].column_name, "col3");  // newest survives
-  EXPECT_EQ(registry.Stats().corrections_dropped, 3u);
 }
 
 // --------------------------------------------------------- concurrency ----
@@ -279,8 +198,8 @@ TEST_F(ModelRegistryTest, ConcurrentPublishAndPinIsSafe) {
   constexpr int kPerPublisher = 8;
   constexpr int kReaders = 4;
   ModelRegistry registry;
-  const SatoModel model = MakeModel(13);
-  registry.PublishBorrowed(model, context_, *scaler_, "seed");
+  const auto model = MakeModel(13);
+  registry.Publish(model, context_, *scaler_, "seed");
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reader_iterations{0};
@@ -288,7 +207,7 @@ TEST_F(ModelRegistryTest, ConcurrentPublishAndPinIsSafe) {
   for (int p = 0; p < kPublishers; ++p) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerPublisher; ++i) {
-        registry.PublishBorrowed(model, context_, *scaler_);
+        registry.Publish(model, context_, *scaler_);
       }
     });
   }
@@ -301,9 +220,9 @@ TEST_F(ModelRegistryTest, ConcurrentPublishAndPinIsSafe) {
         ASSERT_LE(bundle->version(),
                   1u + kPublishers * static_cast<uint64_t>(kPerPublisher));
         bundle->RecordServed();
-        auto pinned = registry.PinVersion(bundle->version());
-        // The version we pin is alive by construction -- we hold it.
-        ASSERT_EQ(pinned, bundle);
+        // Versions install monotonically: a later snapshot never reports
+        // an older current version than the one we already pinned.
+        ASSERT_GE(registry.Stats().current_version, bundle->version());
         reader_iterations.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -329,8 +248,8 @@ TEST_F(ModelRegistryTest, ConcurrentPublishAndPinIsSafe) {
 // ------------------------------------------------ int8 accuracy gate ----
 
 TEST_F(ModelRegistryTest, Int8AccuracyGateEvaluatesBothKernelsAndRestores) {
-  const SatoModel model = MakeModel(5);
-  auto bundle = ModelBundle::Borrowed(model, context_, *scaler_);
+  ModelRegistry registry;
+  auto bundle = registry.Publish(MakeModel(5), context_, *scaler_);
   const nn::gemm::Config before = nn::gemm::DefaultConfig();
 
   // Epsilon 1.0 can never fail (macro-F1 lives in [0, 1], so the

@@ -18,6 +18,7 @@
 #include "core/sato_model.h"
 #include "corpus/generator.h"
 #include "serve/batch_predictor.h"
+#include "serve/model_registry.h"
 #include "serve/thread_pool.h"
 #include "table/semantic_type.h"
 #include "util/rng.h"
@@ -145,36 +146,46 @@ class BatchPredictorTest : public ::testing::Test {
     config_ = new SatoConfig();
     config_->num_topics = 8;
     util::Rng rng(11);
-    context_ =
-        new FeatureContext(FeatureContext::Build(reference, *config_, &rng));
+    context_ = std::make_shared<const FeatureContext>(
+        FeatureContext::Build(reference, *config_, &rng));
 
-    DatasetBuilder builder(context_);
+    DatasetBuilder builder(context_.get());
     Dataset train = builder.Build(*tables_, &rng);
     scaler_ = new features::FeatureScaler(StandardizeSplits(&train, nullptr));
   }
 
   static void TearDownTestSuite() {
     delete scaler_;
-    delete context_;
+    context_.reset();
     delete config_;
     delete tables_;
   }
 
-  static SatoModel MakeModel(SatoVariant variant, uint64_t seed) {
+  static std::shared_ptr<const SatoModel> MakeModel(SatoVariant variant,
+                                                    uint64_t seed) {
     ColumnwiseModel::Dims dims;
     dims.char_dim = context_->pipeline().char_dim();
     dims.word_dim = context_->pipeline().word_dim();
     dims.para_dim = context_->pipeline().para_dim();
     dims.stat_dim = context_->pipeline().stat_dim();
     util::Rng rng(seed);
-    return SatoModel(variant, dims, context_->topic_dim(), *config_, &rng);
+    return std::make_shared<const SatoModel>(variant, dims,
+                                             context_->topic_dim(), *config_,
+                                             &rng);
+  }
+
+  /// Publishes `model` with the suite's context and scaler into this
+  /// test's registry; the returned bundle owns what it serves.
+  std::shared_ptr<const serve::ModelBundle> Publish(
+      std::shared_ptr<const SatoModel> model) {
+    return registry_.Publish(std::move(model), context_, *scaler_);
   }
 
   // The sequential reference: SatoPredictor over each table in order, with
   // the same per-table seed stream the BatchPredictor uses.
   static std::vector<std::vector<TypeId>> SequentialReference(
-      SatoModel* model, uint64_t seed) {
-    SatoPredictor predictor(model, context_, *scaler_);
+      const SatoModel& model, uint64_t seed) {
+    SatoPredictor predictor(&model, context_.get(), *scaler_);
     std::vector<std::vector<TypeId>> out;
     out.reserve(tables_->size());
     for (size_t i = 0; i < tables_->size(); ++i) {
@@ -184,28 +195,31 @@ class BatchPredictorTest : public ::testing::Test {
     return out;
   }
 
+  serve::ModelRegistry registry_;
+
   static std::vector<Table>* tables_;
   static SatoConfig* config_;
-  static FeatureContext* context_;
+  static std::shared_ptr<const FeatureContext> context_;
   static features::FeatureScaler* scaler_;
 };
 
 std::vector<Table>* BatchPredictorTest::tables_ = nullptr;
 SatoConfig* BatchPredictorTest::config_ = nullptr;
-FeatureContext* BatchPredictorTest::context_ = nullptr;
+std::shared_ptr<const FeatureContext> BatchPredictorTest::context_;
 features::FeatureScaler* BatchPredictorTest::scaler_ = nullptr;
 
 TEST_F(BatchPredictorTest, MatchesSequentialAcrossWorkerCounts) {
   constexpr uint64_t kSeed = 5;
-  SatoModel model = MakeModel(SatoVariant::kFull, 17);
-  auto reference = SequentialReference(&model, kSeed);
+  const auto model = MakeModel(SatoVariant::kFull, 17);
+  auto reference = SequentialReference(*model, kSeed);
   ASSERT_EQ(reference.size(), tables_->size());
+  const auto bundle = Publish(model);
 
   for (size_t threads : {1u, 2u, 8u}) {
     serve::BatchPredictorOptions options;
     options.num_threads = threads;
     options.seed = kSeed;
-    serve::BatchPredictor batch(model, context_, *scaler_, options);
+    serve::BatchPredictor batch(bundle, options);
     EXPECT_EQ(batch.num_threads(), threads);
     auto results = batch.PredictTables(*tables_);
     EXPECT_EQ(results, reference) << "thread count " << threads;
@@ -214,36 +228,36 @@ TEST_F(BatchPredictorTest, MatchesSequentialAcrossWorkerCounts) {
 
 TEST_F(BatchPredictorTest, MatchesSequentialForUnstructuredVariant) {
   constexpr uint64_t kSeed = 9;
-  SatoModel model = MakeModel(SatoVariant::kBase, 23);
-  auto reference = SequentialReference(&model, kSeed);
+  const auto model = MakeModel(SatoVariant::kBase, 23);
+  auto reference = SequentialReference(*model, kSeed);
 
   serve::BatchPredictorOptions options;
   options.num_threads = 4;
   options.seed = kSeed;
-  serve::BatchPredictor batch(model, context_, *scaler_, options);
+  serve::BatchPredictor batch(Publish(model), options);
   EXPECT_EQ(batch.PredictTables(*tables_), reference);
 }
 
 TEST_F(BatchPredictorTest, RepeatedBatchesAreIdentical) {
-  SatoModel model = MakeModel(SatoVariant::kFull, 17);
+  const auto model = MakeModel(SatoVariant::kFull, 17);
   serve::BatchPredictorOptions options;
   options.num_threads = 2;
   options.seed = 5;
-  serve::BatchPredictor batch(model, context_, *scaler_, options);
+  serve::BatchPredictor batch(Publish(model), options);
   auto first = batch.PredictTables(*tables_);
   auto second = batch.PredictTables(*tables_);
   EXPECT_EQ(first, second);
 }
 
 TEST_F(BatchPredictorTest, SteadyStateFeaturizationDoesNotGrowScratch) {
-  SatoModel model = MakeModel(SatoVariant::kFull, 17);
+  const auto model = MakeModel(SatoVariant::kFull, 17);
   serve::BatchPredictorOptions options;
   // One worker so every table lands on the same scratch: with dynamic
   // scheduling a multi-worker run could legitimately route the largest
   // table to a not-yet-warm worker.
   options.num_threads = 1;
   options.seed = 5;
-  serve::BatchPredictor batch(model, context_, *scaler_, options);
+  serve::BatchPredictor batch(Publish(model), options);
   batch.PredictTables(*tables_);  // warm-up: scratches reach high water
   batch.PredictTables(*tables_);
   size_t growth_before = batch.FeaturizeGrowthEvents();
@@ -255,11 +269,11 @@ TEST_F(BatchPredictorTest, SteadyStateFeaturizationDoesNotGrowScratch) {
 }
 
 TEST_F(BatchPredictorTest, PredictTypeNamesMatchesIds) {
-  SatoModel model = MakeModel(SatoVariant::kFull, 17);
+  const auto model = MakeModel(SatoVariant::kFull, 17);
   serve::BatchPredictorOptions options;
   options.num_threads = 2;
   options.seed = 5;
-  serve::BatchPredictor batch(model, context_, *scaler_, options);
+  serve::BatchPredictor batch(Publish(model), options);
 
   std::vector<Table> subset(tables_->begin(),
                             tables_->begin() + std::min<size_t>(10, tables_->size()));
@@ -275,25 +289,25 @@ TEST_F(BatchPredictorTest, PredictTypeNamesMatchesIds) {
 }
 
 TEST_F(BatchPredictorTest, EmptyBatchYieldsEmptyResult) {
-  SatoModel model = MakeModel(SatoVariant::kFull, 17);
+  const auto model = MakeModel(SatoVariant::kFull, 17);
   serve::BatchPredictorOptions options;
   options.num_threads = 2;
-  serve::BatchPredictor batch(model, context_, *scaler_, options);
+  serve::BatchPredictor batch(Publish(model), options);
   EXPECT_TRUE(batch.PredictTables({}).empty());
 }
 
 TEST_F(BatchPredictorTest, SharesExactlyOneModelInstance) {
-  SatoModel model = MakeModel(SatoVariant::kFull, 17);
+  const auto model = MakeModel(SatoVariant::kFull, 17);
   serve::BatchPredictorOptions options;
   options.num_threads = 8;
-  serve::BatchPredictor batch(model, context_, *scaler_, options);
-  // No replicas: the model the workers read IS the caller's instance,
-  // wrapped in an unregistered (version 0) borrowed bundle. The bundle
-  // snapshot accessor replaced the old `const SatoModel&` accessor, which
-  // would dangle under hot-swappable ownership.
+  serve::BatchPredictor batch(Publish(model), options);
+  // No replicas: the model the workers read IS the published instance,
+  // pinned by the bundle. The bundle snapshot accessor replaced the old
+  // `const SatoModel&` accessor, which would dangle under hot-swappable
+  // ownership.
   ASSERT_NE(batch.bundle(), nullptr);
-  EXPECT_EQ(&batch.bundle()->model(), &model);
-  EXPECT_EQ(batch.model_version(), 0u);
+  EXPECT_EQ(&batch.bundle()->model(), model.get());
+  EXPECT_EQ(batch.model_version(), 1u);
 }
 
 // ------------------------------------------------ shared-model re-entrancy ----
@@ -305,8 +319,8 @@ TEST_F(BatchPredictorTest, SharesExactlyOneModelInstance) {
 TEST_F(BatchPredictorTest, ConcurrentPredictProbsOnSharedModelIsByteIdentical) {
   constexpr uint64_t kSeed = 41;
   constexpr size_t kThreads = 8;
-  const SatoModel model = MakeModel(SatoVariant::kFull, 29);
-  const SatoPredictor predictor(&model, context_, *scaler_);
+  const auto model = MakeModel(SatoVariant::kFull, 29);
+  const SatoPredictor predictor(model.get(), context_.get(), *scaler_);
   const size_t n = std::min<size_t>(64, tables_->size());
 
   // Sequential reference (fresh Rng per table, same seed stream).
@@ -344,8 +358,8 @@ TEST_F(BatchPredictorTest, ConcurrentPredictProbsOnSharedModelIsByteIdentical) {
 TEST_F(BatchPredictorTest, ConcurrentPredictWithWorkspaceReuseMatches) {
   constexpr uint64_t kSeed = 43;
   constexpr size_t kThreads = 4;
-  const SatoModel model = MakeModel(SatoVariant::kFull, 17);
-  const SatoPredictor predictor(&model, context_, *scaler_);
+  const auto model = MakeModel(SatoVariant::kFull, 17);
+  const SatoPredictor predictor(model.get(), context_.get(), *scaler_);
   const size_t n = std::min<size_t>(40, tables_->size());
 
   std::vector<std::vector<TypeId>> reference(n);

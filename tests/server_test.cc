@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "core/sato_model.h"
 #include "corpus/generator.h"
 #include "serve/batch_predictor.h"
+#include "serve/correction_wal.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
 #include "serve/result_cache.h"
@@ -34,6 +36,7 @@
 namespace sato {
 namespace {
 
+using serve::CorrectionWal;
 using serve::ModelRegistry;
 using serve::PredictionService;
 using serve::PredictionServiceOptions;
@@ -241,36 +244,36 @@ class ServerTest : public ::testing::Test {
     config_ = new SatoConfig();
     config_->num_topics = 8;
     util::Rng rng(29);
-    context_ =
-        new FeatureContext(FeatureContext::Build(reference, *config_, &rng));
+    context_ = std::make_shared<const FeatureContext>(
+        FeatureContext::Build(reference, *config_, &rng));
 
-    DatasetBuilder builder(context_);
+    DatasetBuilder builder(context_.get());
     Dataset train = builder.Build(*tables_, &rng);
     scaler_ = new features::FeatureScaler(StandardizeSplits(&train, nullptr));
-    model_ = new SatoModel(MakeModel(7));
+    model_ = MakeModel(7);
   }
 
   static void TearDownTestSuite() {
-    delete model_;
+    model_.reset();
     delete scaler_;
-    delete context_;
+    context_.reset();
     delete config_;
     delete tables_;
   }
 
-  static SatoModel MakeModel(uint64_t seed) {
+  static std::shared_ptr<const SatoModel> MakeModel(uint64_t seed) {
     ColumnwiseModel::Dims dims;
     dims.char_dim = context_->pipeline().char_dim();
     dims.word_dim = context_->pipeline().word_dim();
     dims.para_dim = context_->pipeline().para_dim();
     dims.stat_dim = context_->pipeline().stat_dim();
     util::Rng rng(seed);
-    return SatoModel(SatoVariant::kFull, dims, context_->topic_dim(), *config_,
-                     &rng);
+    return std::make_shared<const SatoModel>(
+        SatoVariant::kFull, dims, context_->topic_dim(), *config_, &rng);
   }
 
   static std::vector<TypeId> Sequential(const Table& table, uint64_t seed) {
-    SatoPredictor predictor(model_, context_, *scaler_);
+    SatoPredictor predictor(model_.get(), context_.get(), *scaler_);
     util::Rng rng(seed);
     return predictor.PredictTable(table, &rng);
   }
@@ -279,9 +282,12 @@ class ServerTest : public ::testing::Test {
     return serve::BatchPredictor::TableSeed(1, i);
   }
 
-  /// Registry + service + listening server over the shared model. Every
-  /// piece lives on the heap so tests can drop the harness mid-connection.
+  /// WAL + registry + service + listening server over the shared model.
+  /// Every piece lives on the heap so tests can drop the harness
+  /// mid-connection. The WAL is declared first: the registry borrows it.
   struct Harness {
+    std::string wal_path;
+    std::unique_ptr<CorrectionWal> wal;
     ModelRegistry registry;
     std::unique_ptr<ResultCache> cache;
     std::unique_ptr<PredictionService> service;
@@ -298,7 +304,15 @@ class ServerTest : public ::testing::Test {
   static std::unique_ptr<Harness> MakeHarness(ServerOptions server_options = {},
                                               bool with_cache = false) {
     auto harness = std::make_unique<Harness>();
-    harness->registry.PublishBorrowed(*model_, context_, *scaler_, "wire");
+    // One fresh log per test: ctest runs the tests as parallel processes.
+    harness->wal_path =
+        ::testing::TempDir() + "sato_server_test_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".wal";
+    std::remove(harness->wal_path.c_str());
+    harness->wal = std::make_unique<CorrectionWal>(harness->wal_path);
+    harness->registry.AttachCorrectionWal(harness->wal.get());
+    harness->registry.Publish(model_, context_, *scaler_, "wire");
     if (with_cache) harness->cache = std::make_unique<ResultCache>();
     PredictionServiceOptions options;
     options.num_threads = 2;
@@ -314,16 +328,16 @@ class ServerTest : public ::testing::Test {
 
   static std::vector<Table>* tables_;
   static SatoConfig* config_;
-  static FeatureContext* context_;
+  static std::shared_ptr<const FeatureContext> context_;
   static features::FeatureScaler* scaler_;
-  static SatoModel* model_;
+  static std::shared_ptr<const SatoModel> model_;
 };
 
 std::vector<Table>* ServerTest::tables_ = nullptr;
 SatoConfig* ServerTest::config_ = nullptr;
-FeatureContext* ServerTest::context_ = nullptr;
+std::shared_ptr<const FeatureContext> ServerTest::context_;
 features::FeatureScaler* ServerTest::scaler_ = nullptr;
-SatoModel* ServerTest::model_ = nullptr;
+std::shared_ptr<const SatoModel> ServerTest::model_;
 
 TEST_F(ServerTest, PingEchoesRequestIdWithResponseBit) {
   auto harness = MakeHarness();
@@ -689,6 +703,8 @@ TEST_F(ServerTest, DrainUnderLoadNeverTearsAResponse) {
   EXPECT_GE(completed.load(), 2 * kClients);
 }
 
+// The registry's correction log is its attached WAL: an acked correction
+// replays from it.
 TEST_F(ServerTest, CorrectionOpcodeLandsInTheRegistryLog) {
   auto harness = MakeHarness();
   wire::Client client = harness->Connect();
@@ -696,12 +712,37 @@ TEST_F(ServerTest, CorrectionOpcodeLandsInTheRegistryLog) {
   ASSERT_TRUE(response.transport_ok);
   EXPECT_EQ(response.body.status, WireStatus::kOk);
 
-  auto corrections = harness->registry.Corrections();
-  ASSERT_EQ(corrections.size(), 1u);
-  EXPECT_EQ(corrections[0].column_name, "postal_code");
-  EXPECT_EQ(corrections[0].corrected_type, 12);
-  EXPECT_EQ(corrections[0].model_version, 1u);
+  serve::WalReplayResult replay = CorrectionWal::Replay(harness->wal_path);
+  ASSERT_EQ(replay.records, 1u);
+  EXPECT_EQ(replay.corrections[0].column_name, "postal_code");
+  EXPECT_EQ(replay.corrections[0].corrected_type, 12);
+  EXPECT_EQ(replay.corrections[0].model_version, 1u);
+  EXPECT_EQ(harness->registry.Stats().corrections_submitted, 1u);
   EXPECT_EQ(harness->server->Stats().corrections, 1u);
+}
+
+// The wire accepts correction frames up to 16 MiB but a WAL record holds
+// at most 1 MiB: a longer column name must be refused with a typed
+// failure -- never acknowledged -- and the connection keeps serving.
+TEST_F(ServerTest, OversizedCorrectionIsRefusedAndTheConnectionKeepsServing) {
+  auto harness = MakeHarness();
+  wire::Client client = harness->Connect();
+  const std::string huge(CorrectionWal::kMaxRecordBytes + 1, 'n');
+  wire::ClientResponse refused = client.Correct(huge, 3, 1);
+  ASSERT_TRUE(refused.transport_ok) << client.error();
+  EXPECT_NE(refused.body.status, WireStatus::kOk);
+
+  wire::ClientResponse after = client.Correct("zip", 4, 1);
+  ASSERT_TRUE(after.transport_ok) << client.error();
+  EXPECT_EQ(after.body.status, WireStatus::kOk);
+  EXPECT_EQ(client.Ping().body.status, WireStatus::kOk);
+
+  serve::WalReplayResult replay = CorrectionWal::Replay(harness->wal_path);
+  EXPECT_FALSE(replay.truncated);
+  ASSERT_EQ(replay.records, 1u);
+  EXPECT_EQ(replay.corrections[0].column_name, "zip");
+  EXPECT_EQ(harness->server->Stats().corrections, 1u);
+  EXPECT_EQ(harness->registry.Stats().corrections_wal_failed, 1u);
 }
 
 TEST_F(ServerTest, DestructorWhileClientsAreConnectedIsClean) {

@@ -55,30 +55,37 @@ class PredictionServiceTest : public ::testing::Test {
     config_ = new SatoConfig();
     config_->num_topics = 8;
     util::Rng rng(19);
-    context_ =
-        new FeatureContext(FeatureContext::Build(reference, *config_, &rng));
+    context_ = std::make_shared<const FeatureContext>(
+        FeatureContext::Build(reference, *config_, &rng));
 
-    DatasetBuilder builder(context_);
+    DatasetBuilder builder(context_.get());
     Dataset train = builder.Build(*tables_, &rng);
     scaler_ = new features::FeatureScaler(StandardizeSplits(&train, nullptr));
   }
 
   static void TearDownTestSuite() {
     delete scaler_;
-    delete context_;
+    context_.reset();
     delete config_;
     delete tables_;
   }
 
-  static SatoModel MakeModel(uint64_t seed) {
+  static std::shared_ptr<const SatoModel> MakeModel(uint64_t seed) {
     ColumnwiseModel::Dims dims;
     dims.char_dim = context_->pipeline().char_dim();
     dims.word_dim = context_->pipeline().word_dim();
     dims.para_dim = context_->pipeline().para_dim();
     dims.stat_dim = context_->pipeline().stat_dim();
     util::Rng rng(seed);
-    return SatoModel(SatoVariant::kFull, dims, context_->topic_dim(), *config_,
-                     &rng);
+    return std::make_shared<const SatoModel>(
+        SatoVariant::kFull, dims, context_->topic_dim(), *config_, &rng);
+  }
+
+  /// Publishes `model` with the suite's context and scaler into this
+  /// test's registry and returns the registry, ready to serve.
+  ModelRegistry* Serve(std::shared_ptr<const SatoModel> model) {
+    registry_.Publish(std::move(model), context_, *scaler_);
+    return &registry_;
   }
 
   /// The determinism oracle: a sequential SatoPredictor run over `table`
@@ -86,7 +93,7 @@ class PredictionServiceTest : public ::testing::Test {
   /// byte-identical to, regardless of batching, scheduling or workers.
   static std::vector<TypeId> Sequential(const SatoModel& model,
                                         const Table& table, uint64_t seed) {
-    SatoPredictor predictor(&model, context_, *scaler_);
+    SatoPredictor predictor(&model, context_.get(), *scaler_);
     util::Rng rng(seed);
     return predictor.PredictTable(table, &rng);
   }
@@ -111,15 +118,17 @@ class PredictionServiceTest : public ::testing::Test {
     return options;
   }
 
+  ModelRegistry registry_;
+
   static std::vector<Table>* tables_;
   static SatoConfig* config_;
-  static FeatureContext* context_;
+  static std::shared_ptr<const FeatureContext> context_;
   static features::FeatureScaler* scaler_;
 };
 
 std::vector<Table>* PredictionServiceTest::tables_ = nullptr;
 SatoConfig* PredictionServiceTest::config_ = nullptr;
-FeatureContext* PredictionServiceTest::context_ = nullptr;
+std::shared_ptr<const FeatureContext> PredictionServiceTest::context_;
 features::FeatureScaler* PredictionServiceTest::scaler_ = nullptr;
 
 // ------------------------------------------- multi-producer determinism ----
@@ -134,7 +143,7 @@ TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
   constexpr size_t kPerClient = 10;
   constexpr size_t kTotal = kClients * kPerClient;
   constexpr uint64_t kBase = 77;
-  const SatoModel model = MakeModel(17);
+  const auto model = MakeModel(17);
 
   // Fixed randomized workload: request r predicts a random corpus table
   // with the seed stream TableSeed(kBase, r).
@@ -144,17 +153,18 @@ TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
   for (size_t r = 0; r < kTotal; ++r) {
     table_of[r] = static_cast<size_t>(
         pick.UniformInt(0, static_cast<int64_t>(tables_->size()) - 1));
-    expected[r] = Sequential(model, (*tables_)[table_of[r]],
+    expected[r] = Sequential(*model, (*tables_)[table_of[r]],
                              serve::BatchPredictor::TableSeed(kBase, r));
   }
 
+  ModelRegistry* registry = Serve(model);
   for (size_t workers : {1u, 2u, 8u}) {
     for (size_t batch : {1u, 4u, 32u}) {
       PredictionServiceOptions options;
       options.num_threads = workers;
       options.max_batch_size = batch;
       options.max_queue_delay_nanos = 200'000;  // 200 us, real clock
-      PredictionService service(model, context_, *scaler_, options);
+      PredictionService service(registry, options);
 
       std::vector<PredictionHandle> handles(kTotal);
       std::vector<std::thread> clients;
@@ -207,10 +217,9 @@ TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
 // nanosecond releases it. Its measured latency is then exactly the
 // max-queue-delay, which pins the latency stats as well.
 TEST_F(PredictionServiceTest, LoneRequestFlushesExactlyAtTheDeadline) {
-  const SatoModel model = MakeModel(23);
+  const auto model = MakeModel(23);
   FakeClock clock;
-  PredictionService service(model, context_, *scaler_,
-                            FakeClockOptions(&clock));
+  PredictionService service(Serve(model), FakeClockOptions(&clock));
 
   PredictionHandle handle = service.Submit((*tables_)[0], 5);
   clock.AwaitWaiters(1);  // the batcher reached its deadline wait
@@ -221,7 +230,7 @@ TEST_F(PredictionServiceTest, LoneRequestFlushesExactlyAtTheDeadline) {
   clock.AdvanceNanos(1);  // exactly the deadline
   const serve::PredictionResult& result = handle.Get();
   EXPECT_EQ(result.status, RequestStatus::kOk);
-  EXPECT_EQ(result.type_ids, Sequential(model, (*tables_)[0], 5));
+  EXPECT_EQ(result.type_ids, Sequential(*model, (*tables_)[0], 5));
   EXPECT_EQ(result.latency_nanos, kMillisecond);
 
   const serve::ServiceStats stats = service.Stats();
@@ -236,13 +245,13 @@ TEST_F(PredictionServiceTest, LoneRequestFlushesExactlyAtTheDeadline) {
 // max_batch_size requests complete -- with zero queueing latency on the
 // service clock, and as one batch in the histogram.
 TEST_F(PredictionServiceTest, FullBatchFlushesImmediatelyWithoutWaiting) {
-  const SatoModel model = MakeModel(23);
+  const auto model = MakeModel(23);
   FakeClock clock;
   PredictionServiceOptions options = FakeClockOptions(&clock);
   options.max_batch_size = 4;
   options.num_threads = 2;
   options.max_queue_delay_nanos = 1'000'000'000;  // irrelevantly far away
-  PredictionService service(model, context_, *scaler_, options);
+  PredictionService service(Serve(model), options);
 
   std::vector<PredictionHandle> handles;
   for (size_t i = 0; i < 4; ++i) {
@@ -253,7 +262,7 @@ TEST_F(PredictionServiceTest, FullBatchFlushesImmediatelyWithoutWaiting) {
     const serve::PredictionResult& result = handles[i].Get();
     EXPECT_EQ(result.status, RequestStatus::kOk);
     EXPECT_EQ(result.type_ids,
-              Sequential(model, (*tables_)[i],
+              Sequential(*model, (*tables_)[i],
                          serve::BatchPredictor::TableSeed(3, i)));
     EXPECT_EQ(result.latency_nanos, 0u);  // time never moved
   }
@@ -268,17 +277,16 @@ TEST_F(PredictionServiceTest, FullBatchFlushesImmediatelyWithoutWaiting) {
 // registered waiters, advancing time fires nothing, and new submissions
 // are turned away with kShutdown.
 TEST_F(PredictionServiceTest, NoTimerFiresAfterShutdown) {
-  const SatoModel model = MakeModel(23);
+  const auto model = MakeModel(23);
   FakeClock clock;
-  PredictionService service(model, context_, *scaler_,
-                            FakeClockOptions(&clock));
+  PredictionService service(Serve(model), FakeClockOptions(&clock));
 
   PredictionHandle queued = service.Submit((*tables_)[1], 9);
   clock.AwaitWaiters(1);
   service.Shutdown();  // drains: the queued request completes
 
   EXPECT_EQ(queued.Get().status, RequestStatus::kOk);
-  EXPECT_EQ(queued.Get().type_ids, Sequential(model, (*tables_)[1], 9));
+  EXPECT_EQ(queued.Get().type_ids, Sequential(*model, (*tables_)[1], 9));
   EXPECT_EQ(clock.waiter_count(), 0u);
 
   const serve::ServiceStats before = service.Stats();
@@ -300,12 +308,12 @@ TEST_F(PredictionServiceTest, NoTimerFiresAfterShutdown) {
 // a hang or a crash), and completing the queued requests frees admission
 // slots again.
 TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
-  const SatoModel model = MakeModel(31);
+  const auto model = MakeModel(31);
   FakeClock clock;
   PredictionServiceOptions options = FakeClockOptions(&clock);
   options.max_batch_size = 16;   // larger than capacity: nothing flushes early
   options.queue_capacity = 3;
-  PredictionService service(model, context_, *scaler_, options);
+  PredictionService service(Serve(model), options);
 
   std::vector<PredictionHandle> admitted;
   for (size_t i = 0; i < 3; ++i) {
@@ -330,7 +338,7 @@ TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
     const serve::PredictionResult& result = admitted[i].Get();
     EXPECT_EQ(result.status, RequestStatus::kOk);
     EXPECT_EQ(result.type_ids,
-              Sequential(model, (*tables_)[i],
+              Sequential(*model, (*tables_)[i],
                          serve::BatchPredictor::TableSeed(11, i)));
   }
 
@@ -339,7 +347,7 @@ TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
   EXPECT_FALSE(resumed.Done());
   clock.AdvanceNanos(kMillisecond);
   EXPECT_EQ(resumed.Get().status, RequestStatus::kOk);
-  EXPECT_EQ(resumed.Get().type_ids, Sequential(model, (*tables_)[4], 2));
+  EXPECT_EQ(resumed.Get().type_ids, Sequential(*model, (*tables_)[4], 2));
   EXPECT_EQ(service.Stats().rejected, 1u);  // the one overflow, no more
 }
 
@@ -347,12 +355,12 @@ TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
 // (with the correct bytes), and submissions after shutdown are rejected.
 TEST_F(PredictionServiceTest, ShutdownWhileQueuedCompletesQueuedRequests) {
   constexpr size_t kQueued = 6;
-  const SatoModel model = MakeModel(31);
+  const auto model = MakeModel(31);
   FakeClock clock;
   PredictionServiceOptions options = FakeClockOptions(&clock);
   options.max_batch_size = 64;  // never fills: requests sit on the deadline
   options.num_threads = 2;
-  PredictionService service(model, context_, *scaler_, options);
+  PredictionService service(Serve(model), options);
 
   std::vector<PredictionHandle> handles;
   for (size_t i = 0; i < kQueued; ++i) {
@@ -366,7 +374,7 @@ TEST_F(PredictionServiceTest, ShutdownWhileQueuedCompletesQueuedRequests) {
     const serve::PredictionResult& result = handles[i].Get();
     EXPECT_EQ(result.status, RequestStatus::kOk) << "request " << i;
     EXPECT_EQ(result.type_ids,
-              Sequential(model, (*tables_)[i],
+              Sequential(*model, (*tables_)[i],
                          serve::BatchPredictor::TableSeed(13, i)))
         << "request " << i;
   }
@@ -383,9 +391,9 @@ TEST_F(PredictionServiceTest, ShutdownWhileQueuedCompletesQueuedRequests) {
 // accessor that would now dangle across swaps), and a rejected request --
 // which never reached a model -- reports version 0.
 TEST_F(PredictionServiceTest, ResponsesCarryTheProducingModelVersion) {
-  const SatoModel model = MakeModel(37);
+  const auto model = MakeModel(37);
   ModelRegistry registry;
-  registry.PublishBorrowed(model, context_, *scaler_, "only");
+  registry.Publish(model, context_, *scaler_, "only");
 
   FakeClock clock;
   PredictionServiceOptions options = FakeClockOptions(&clock);
@@ -403,7 +411,7 @@ TEST_F(PredictionServiceTest, ResponsesCarryTheProducingModelVersion) {
   const serve::PredictionResult& result = handle.Get();
   EXPECT_EQ(result.status, RequestStatus::kOk);
   EXPECT_EQ(result.model_version, 1u);
-  EXPECT_EQ(result.type_ids, Sequential(model, (*tables_)[0], 5));
+  EXPECT_EQ(result.type_ids, Sequential(*model, (*tables_)[0], 5));
 
   // Overflow rejection never reaches a model: version 0.
   PredictionHandle a = service.Submit((*tables_)[1], 6);
@@ -425,21 +433,6 @@ TEST_F(PredictionServiceTest, ConstructionRequiresAPublishedVersion) {
   EXPECT_THROW(PredictionService(nullptr, options), std::invalid_argument);
 }
 
-// The compat constructor builds an internal single-version registry: the
-// borrowed model serves as version 1 and the registry is reachable for
-// corrections.
-TEST_F(PredictionServiceTest, CompatConstructorServesAnInternalRegistry) {
-  const SatoModel model = MakeModel(37);
-  PredictionServiceOptions options;
-  PredictionService service(model, context_, *scaler_, options);
-  EXPECT_EQ(service.model_version(), 1u);
-  ASSERT_NE(service.bundle(), nullptr);
-  EXPECT_EQ(&service.bundle()->model(), &model);  // borrowed, not copied
-  ASSERT_NE(service.registry(), nullptr);
-  EXPECT_TRUE(service.registry()->SubmitCorrection({"col", 2, 1}));
-  EXPECT_EQ(service.registry()->Stats().corrections_submitted, 1u);
-}
-
 // The swap battery: three versions with DIFFERENT weights roll out while
 // multi-producer closed-loop clients hammer the service, at 1/2/8 workers.
 // Asserts (a) every response's model_version was actually published,
@@ -453,10 +446,10 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
   constexpr size_t kPerClient = 12;
   constexpr size_t kTotal = kClients * kPerClient;
   constexpr uint64_t kBase = 101;
-  const SatoModel model_a = MakeModel(41);
-  const SatoModel model_b = MakeModel(42);
-  const SatoModel model_c = MakeModel(43);
-  const SatoModel* models[] = {&model_a, &model_b, &model_c};
+  const auto model_a = MakeModel(41);
+  const auto model_b = MakeModel(42);
+  const auto model_c = MakeModel(43);
+  const SatoModel* models[] = {model_a.get(), model_b.get(), model_c.get()};
 
   util::Rng pick(2024);
   std::vector<size_t> table_of(kTotal);
@@ -467,7 +460,7 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
 
   for (size_t workers : {1u, 2u, 8u}) {
     ModelRegistry registry;
-    registry.PublishBorrowed(model_a, context_, *scaler_, "A");
+    registry.Publish(model_a, context_, *scaler_, "A");
     std::weak_ptr<const ModelBundle> v1_alive = registry.Current();
 
     PredictionServiceOptions options;
@@ -479,16 +472,22 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
     // Publisher: rolls out B after a third of the stream completed and C
     // after two thirds. Closed-loop clients guarantee that requests are
     // still being submitted after each publish, so later batches MUST pin
-    // the newer versions.
+    // the newer versions. C also waits for kClients + 1 completions after
+    // B: at most kClients requests (one per closed-loop client) were
+    // pinned before B, so at least one batch runs on B even when a loaded
+    // host wakes the publisher late.
     std::thread publisher([&] {
       while (service.Stats().completed < kTotal / 3) {
         std::this_thread::yield();
       }
-      registry.PublishBorrowed(model_b, context_, *scaler_, "B");
-      while (service.Stats().completed < 2 * kTotal / 3) {
+      registry.Publish(model_b, context_, *scaler_, "B");
+      const uint64_t c_after = std::min<uint64_t>(
+          kTotal, std::max<uint64_t>(2 * kTotal / 3,
+                                     service.Stats().completed + kClients + 1));
+      while (service.Stats().completed < c_after) {
         std::this_thread::yield();
       }
-      registry.PublishBorrowed(model_c, context_, *scaler_, "C");
+      registry.Publish(model_c, context_, *scaler_, "C");
     });
 
     std::vector<PredictionHandle> handles(kTotal);
@@ -512,7 +511,7 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
     PredictionHandle epilogue = service.Submit((*tables_)[0], 7);
     EXPECT_EQ(epilogue.Get().status, RequestStatus::kOk);
     EXPECT_EQ(epilogue.Get().model_version, 3u);
-    EXPECT_EQ(epilogue.Get().type_ids, Sequential(model_c, (*tables_)[0], 7));
+    EXPECT_EQ(epilogue.Get().type_ids, Sequential(*model_c, (*tables_)[0], 7));
 
     size_t on_first = 0, on_later = 0;
     for (size_t r = 0; r < kTotal; ++r) {
@@ -541,9 +540,8 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
     EXPECT_GE(stats.model_swaps, 2u);  // both publishes crossed dispatch
 
     // Superseded and fully drained: the first bundle's last pin has
-    // dropped, so it is gone -- and the registry refuses to revive it.
+    // dropped, so it is gone and the registry reports it retired.
     EXPECT_TRUE(v1_alive.expired()) << "workers " << workers;
-    EXPECT_EQ(registry.PinVersion(1), nullptr);
     serve::RegistryStats rstats = registry.Stats();
     ASSERT_EQ(rstats.versions.size(), 3u);
     EXPECT_TRUE(rstats.versions[0].retired);
@@ -561,7 +559,7 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
 // context returns. Responses around both swaps stay byte-identical to
 // sequential predictors built on the matching context.
 TEST_F(PredictionServiceTest, ContextSwapRebindsWorkerScratches) {
-  const SatoModel model_a = MakeModel(51);
+  const auto model_a = MakeModel(51);
 
   // An independently built featurization state: different reference
   // corpus, so different vocabulary, TF-IDF and LDA parameters.
@@ -571,23 +569,23 @@ TEST_F(PredictionServiceTest, ContextSwapRebindsWorkerScratches) {
   corpus::CorpusGenerator gen(copts);
   auto reference_b = gen.GenerateWith(60, 777);
   util::Rng rng_b(57);
-  FeatureContext context_b =
-      FeatureContext::Build(reference_b, *config_, &rng_b);
-  DatasetBuilder builder(&context_b);
+  const auto context_b = std::make_shared<const FeatureContext>(
+      FeatureContext::Build(reference_b, *config_, &rng_b));
+  DatasetBuilder builder(context_b.get());
   auto corpus_b = gen.Generate();
   Dataset train_b = builder.Build(corpus_b, &rng_b);
   features::FeatureScaler scaler_b = StandardizeSplits(&train_b, nullptr);
   ColumnwiseModel::Dims dims_b;
-  dims_b.char_dim = context_b.pipeline().char_dim();
-  dims_b.word_dim = context_b.pipeline().word_dim();
-  dims_b.para_dim = context_b.pipeline().para_dim();
-  dims_b.stat_dim = context_b.pipeline().stat_dim();
+  dims_b.char_dim = context_b->pipeline().char_dim();
+  dims_b.word_dim = context_b->pipeline().word_dim();
+  dims_b.para_dim = context_b->pipeline().para_dim();
+  dims_b.stat_dim = context_b->pipeline().stat_dim();
   util::Rng mrng(58);
-  SatoModel model_b(SatoVariant::kFull, dims_b, context_b.topic_dim(),
-                    *config_, &mrng);
+  const auto model_b = std::make_shared<const SatoModel>(
+      SatoVariant::kFull, dims_b, context_b->topic_dim(), *config_, &mrng);
 
   ModelRegistry registry;
-  registry.PublishBorrowed(model_a, context_, *scaler_, "ctx-a");
+  registry.Publish(model_a, context_, *scaler_, "ctx-a");
 
   PredictionServiceOptions options;
   options.num_threads = 2;
@@ -605,30 +603,30 @@ TEST_F(PredictionServiceTest, ContextSwapRebindsWorkerScratches) {
     EXPECT_EQ(r.status, RequestStatus::kOk);
     EXPECT_EQ(r.model_version, 1u);
     EXPECT_EQ(r.type_ids,
-              SequentialWith(model_a, context_, *scaler_, (*tables_)[i],
+              SequentialWith(*model_a, context_.get(), *scaler_, (*tables_)[i],
                              60 + i));
   }
 
   // Swap to context B: every worker must re-key its token dictionary.
-  registry.PublishBorrowed(model_b, &context_b, scaler_b, "ctx-b");
+  registry.Publish(model_b, context_b, scaler_b, "ctx-b");
   for (size_t i = 0; i < 6; ++i) {
     serve::PredictionResult r = roundtrip(i, 70 + i);
     EXPECT_EQ(r.status, RequestStatus::kOk);
     EXPECT_EQ(r.model_version, 2u);
     EXPECT_EQ(r.type_ids,
-              SequentialWith(model_b, &context_b, scaler_b, (*tables_)[i],
+              SequentialWith(*model_b, context_b.get(), scaler_b, (*tables_)[i],
                              70 + i));
   }
 
   // And back to context A (a fresh version): re-binding is symmetric, no
   // stale dictionary state survives the round trip.
-  registry.PublishBorrowed(model_a, context_, *scaler_, "ctx-a-again");
+  registry.Publish(model_a, context_, *scaler_, "ctx-a-again");
   for (size_t i = 0; i < 6; ++i) {
     serve::PredictionResult r = roundtrip(i, 80 + i);
     EXPECT_EQ(r.status, RequestStatus::kOk);
     EXPECT_EQ(r.model_version, 3u);
     EXPECT_EQ(r.type_ids,
-              SequentialWith(model_a, context_, *scaler_, (*tables_)[i],
+              SequentialWith(*model_a, context_.get(), *scaler_, (*tables_)[i],
                              80 + i));
   }
   service.Shutdown();
@@ -638,11 +636,11 @@ TEST_F(PredictionServiceTest, ContextSwapRebindsWorkerScratches) {
 // --------------------------------------------------------- small edges ----
 
 TEST_F(PredictionServiceTest, EmptyTableResolvesOkWithNoTypes) {
-  const SatoModel model = MakeModel(23);
+  const auto model = MakeModel(23);
   FakeClock clock;
   PredictionServiceOptions options = FakeClockOptions(&clock);
   options.max_batch_size = 1;  // flushes immediately
-  PredictionService service(model, context_, *scaler_, options);
+  PredictionService service(Serve(model), options);
 
   PredictionHandle handle = service.Submit(Table(), 7);
   const serve::PredictionResult& result = handle.Get();
@@ -651,14 +649,14 @@ TEST_F(PredictionServiceTest, EmptyTableResolvesOkWithNoTypes) {
 }
 
 TEST_F(PredictionServiceTest, DestructorDrainsAdmittedRequests) {
-  const SatoModel model = MakeModel(23);
+  const auto model = MakeModel(23);
   std::vector<PredictionHandle> handles;
   {
     PredictionServiceOptions options;  // real SteadyClock
     options.num_threads = 2;
     options.max_batch_size = 4;
     options.max_queue_delay_nanos = 50 * kMillisecond;
-    PredictionService service(model, context_, *scaler_, options);
+    PredictionService service(Serve(model), options);
     for (size_t i = 0; i < 6; ++i) {
       handles.push_back(service.Submit(
           (*tables_)[i], serve::BatchPredictor::TableSeed(29, i)));
@@ -670,15 +668,15 @@ TEST_F(PredictionServiceTest, DestructorDrainsAdmittedRequests) {
     ASSERT_TRUE(handles[i].Done());
     EXPECT_EQ(handles[i].Get().status, RequestStatus::kOk);
     EXPECT_EQ(handles[i].Get().type_ids,
-              Sequential(model, (*tables_)[i],
+              Sequential(*model, (*tables_)[i],
                          serve::BatchPredictor::TableSeed(29, i)));
   }
 }
 
 TEST_F(PredictionServiceTest, ShutdownIsIdempotent) {
-  const SatoModel model = MakeModel(23);
+  const auto model = MakeModel(23);
   PredictionServiceOptions options;
-  PredictionService service(model, context_, *scaler_, options);
+  PredictionService service(Serve(model), options);
   service.Shutdown();
   service.Shutdown();  // must not hang, crash, or double-join
   SUCCEED();

@@ -2,8 +2,9 @@
 // (serve/correction_wal.h): record-format round trips, CRC verification,
 // torn/corrupt/oversized-tail truncation (loud, in place, never fatal),
 // kill-and-restart replay through ModelRegistry, the ack-gating contract
-// (a correction is acknowledged only after it is durably in the log), and
-// deterministic WAL-append fault injection.
+// (a correction is acknowledged only after it is durably in the log, and
+// every acknowledged one replays), and deterministic WAL-append fault
+// injection.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -223,10 +224,43 @@ TEST(CorrectionWalTest, RegistryAcksOnlyDurablyRecordedCorrections) {
   ASSERT_EQ(replay.records, 1u);
   ExpectSame(replay.corrections[0], {"durable", 7, 3});
 
-  registry.AttachCorrectionWal(nullptr);  // detached: memory-only again
-  EXPECT_TRUE(registry.SubmitCorrection({"memory_only", 1, 1}));
+  registry.AttachCorrectionWal(nullptr);  // detached: counted, not stored
+  EXPECT_TRUE(registry.SubmitCorrection({"unlogged", 1, 1}));
   EXPECT_EQ(CorrectionWal::Replay(path).records, 1u);
-  EXPECT_EQ(registry.Corrections().size(), 2u);
+  EXPECT_EQ(registry.Stats().corrections_submitted, 2u);
+  EXPECT_EQ(registry.Stats().corrections_wal_failed, 0u);
+}
+
+// Replay reads a record over kMaxRecordBytes as a corrupt length and
+// truncates there, so Append must refuse one before writing any byte:
+// otherwise the oversized record -- and every acknowledged correction
+// after it -- would be acked and then lost on the next restart.
+TEST(CorrectionWalTest, OversizedRecordIsRefusedAndEveryAckReplays) {
+  const std::string path = WalPath("oversized");
+  CorrectionWal wal(path);
+  ModelRegistry registry;
+  registry.AttachCorrectionWal(&wal);
+
+  const std::vector<Correction> stream = {
+      {"before", 1, 1},
+      {std::string(2 * CorrectionWal::kMaxRecordBytes, 'x'), 2, 1},
+      {"after", 3, 1},
+  };
+  std::vector<Correction> acked;
+  for (const Correction& c : stream) {
+    if (registry.SubmitCorrection(c)) acked.push_back(c);
+  }
+  ASSERT_EQ(acked.size(), 2u);
+  EXPECT_EQ(wal.append_failures(), 1u);
+  EXPECT_EQ(registry.Stats().corrections_wal_failed, 1u);
+
+  WalReplayResult replay = CorrectionWal::Replay(path);
+  EXPECT_FALSE(replay.truncated);
+  EXPECT_EQ(replay.truncated_bytes, 0u);
+  ASSERT_EQ(replay.records, acked.size());
+  for (size_t i = 0; i < acked.size(); ++i) {
+    ExpectSame(replay.corrections[i], acked[i]);
+  }
 }
 
 TEST(CorrectionWalTest, InjectedAppendFailureWithholdsTheAck) {
@@ -240,11 +274,10 @@ TEST(CorrectionWalTest, InjectedAppendFailureWithholdsTheAck) {
   ModelRegistry registry;
   registry.AttachCorrectionWal(&wal);
 
-  // The failed append records NOTHING: no ack, no in-memory entry, no WAL
-  // bytes -- a half-recorded correction would silently evaporate on
-  // restart, which is exactly the lie the gate exists to prevent.
+  // The failed append records NOTHING: no ack, no WAL bytes -- a
+  // half-recorded correction would silently evaporate on restart, which
+  // is exactly the lie the gate exists to prevent.
   EXPECT_FALSE(registry.SubmitCorrection({"lost", 1, 1}));
-  EXPECT_TRUE(registry.Corrections().empty());
   EXPECT_EQ(wal.append_failures(), 1u);
   EXPECT_EQ(CorrectionWal::Replay(path).records, 0u);
 
@@ -271,24 +304,22 @@ TEST(CorrectionWalTest, RestartReplayRestoresEveryAcknowledgedCorrection) {
     ASSERT_EQ(acked.size(), SampleCorrections().size());
   }
 
-  // "Restart": the daemon's documented startup order -- replay, feed the
-  // registry, then attach a fresh appender and keep going.
-  WalReplayResult replay = CorrectionWal::Replay(path);
+  // "Restart": the daemon's documented startup order -- replay, then
+  // attach a fresh appender and keep going.
+  ASSERT_EQ(CorrectionWal::Replay(path).records, acked.size());
   ModelRegistry registry;
-  ASSERT_EQ(replay.records, acked.size());
-  for (Correction& c : replay.corrections) {
-    registry.SubmitCorrection(std::move(c));
-  }
   CorrectionWal wal(path);
   registry.AttachCorrectionWal(&wal);
-  EXPECT_TRUE(registry.SubmitCorrection({"post_restart", 9, 4}));
+  const Correction post_restart{"post_restart", 9, 4};
+  EXPECT_TRUE(registry.SubmitCorrection(post_restart));
+  acked.push_back(post_restart);
 
-  std::vector<Correction> restored = registry.Corrections();
-  ASSERT_EQ(restored.size(), acked.size() + 1);
+  WalReplayResult restored = CorrectionWal::Replay(path);
+  EXPECT_FALSE(restored.truncated);
+  ASSERT_EQ(restored.records, acked.size());
   for (size_t i = 0; i < acked.size(); ++i) {
-    ExpectSame(restored[i], acked[i]);
+    ExpectSame(restored.corrections[i], acked[i]);
   }
-  EXPECT_EQ(CorrectionWal::Replay(path).records, acked.size() + 1);
 }
 
 }  // namespace
