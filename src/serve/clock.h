@@ -15,10 +15,11 @@ namespace sato::serve {
 /// expressed in nanoseconds since the clock's own epoch (construction).
 ///
 /// The clock is injectable so that deadline behaviour -- when a partial
-/// micro-batch flushes -- is testable without real sleeps: production uses
-/// SteadyClock, tests drive a FakeClock by hand (tests/service_test.cc
-/// advances it nanosecond-precisely and asserts a lone request flushes
-/// exactly at its deadline).
+/// micro-batch flushes while every worker is busy -- is testable without
+/// real sleeps: production uses SteadyClock, tests drive a FakeClock by
+/// hand (tests/service_test.cc holds the workers busy, advances the clock
+/// nanosecond-precisely and asserts a lone request flushes exactly at its
+/// deadline; an idle service dispatches it at once, with no clock wait).
 class Clock {
  public:
   virtual ~Clock() = default;

@@ -31,6 +31,7 @@ std::shared_ptr<const ModelBundle> ModelRegistry::Publish(
     throw std::invalid_argument("ModelRegistry::Publish: null model/context");
   }
   std::shared_ptr<const ModelBundle> bundle;
+  std::shared_ptr<const ModelBundle> previous;  // unpinned after unlocking
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const uint64_t version = next_version_++;
@@ -40,11 +41,12 @@ std::shared_ptr<const ModelBundle> ModelRegistry::Publish(
         version);
     history_.push_back(
         VersionRecord{version, std::move(tag), bundle, bundle->counters_});
-    // The swap itself: one atomic store. Readers that already pinned the
-    // old version keep it alive; new Current() calls see this bundle.
-    // Stored under mutex_ so concurrent publishes install in version
-    // order -- readers still never take the lock.
-    current_.store(bundle, std::memory_order_release);
+    // The swap itself. Readers that already pinned the old version keep
+    // it alive; new Current() calls see this bundle. Swapped under mutex_
+    // so concurrent publishes install in version order -- readers never
+    // take mutex_.
+    std::lock_guard<std::mutex> current_lock(current_mutex_);
+    previous = std::exchange(current_, bundle);
   }
   return bundle;
 }
@@ -59,7 +61,7 @@ RegistryStats ModelRegistry::Stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   // current_ is stored under mutex_ in Publish, so loading it inside the
   // critical section yields a snapshot consistent with published/versions.
-  auto current = current_.load(std::memory_order_acquire);
+  auto current = Current();
   stats.current_version = current != nullptr ? current->version() : 0;
   stats.published = next_version_ - 1;
   stats.versions.reserve(history_.size());

@@ -123,19 +123,20 @@ struct RegistryStats {
 ///
 /// `Publish` wraps components into an immutable ModelBundle, assigns the
 /// next monotonically-increasing version id, and atomically replaces the
-/// current pointer. `Current` is the read side: an atomic shared_ptr load
-/// that pins the bundle for as long as the caller keeps the pointer --
-/// readers never block publishers and publishers never block readers
-/// (classic read-copy-update with shared_ptr as the grace period: the old
-/// version is destroyed when its last pin drops, not at publish time).
+/// current pointer. `Current` is the read side: a shared_ptr copy that
+/// pins the bundle for as long as the caller keeps the pointer. Readers
+/// and publishers exclude each other only for that pointer copy, never
+/// for a model's use or destruction (classic read-copy-update with
+/// shared_ptr as the grace period: the old version is destroyed when its
+/// last pin drops, not at publish time).
 ///
 /// The registry itself only keeps a *weak* reference to superseded
 /// versions, so it never extends an old model's lifetime: a version is
 /// retired (Stats().versions[i].retired) once its last pin drops.
 ///
-/// Thread-safe throughout. Publishing is rare and cheap (a few atomic
-/// ops + history bookkeeping under a mutex); pinning is a single atomic
-/// shared_ptr load.
+/// Thread-safe throughout. Publishing is rare and cheap (a pointer swap +
+/// history bookkeeping under a mutex); pinning is one shared_ptr copy
+/// under a mutex held for nothing else.
 class ModelRegistry {
  public:
   ModelRegistry() = default;
@@ -152,7 +153,8 @@ class ModelRegistry {
 
   /// The current version, pinned. Null until the first Publish.
   std::shared_ptr<const ModelBundle> Current() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(current_mutex_);
+    return current_;
   }
 
   /// Version id of the current bundle; 0 before the first Publish.
@@ -186,9 +188,14 @@ class ModelRegistry {
     std::shared_ptr<internal::VersionCounters> counters;
   };
 
-  // The RCU pointer: readers pin with a single atomic load. Publishers
-  // store it while holding mutex_ so versions install monotonically.
-  std::atomic<std::shared_ptr<const ModelBundle>> current_;
+  // The RCU pointer: readers pin by copying it under current_mutex_,
+  // which guards nothing else. Publishers replace it while also holding
+  // mutex_, so versions install monotonically. Not a
+  // std::atomic<std::shared_ptr>: libstdc++ 12's load() drops its internal
+  // lock bit with a relaxed store, so a load and a concurrent store race
+  // (ThreadSanitizer reports it under hot swap).
+  mutable std::mutex current_mutex_;
+  std::shared_ptr<const ModelBundle> current_;
 
   mutable std::mutex mutex_;  // history + correction counters
   uint64_t next_version_ = 1;

@@ -56,6 +56,12 @@ uint64_t Percentile(const std::vector<uint64_t>& sorted, uint64_t q) {
   return sorted[std::min(rank, sorted.size()) - 1];
 }
 
+/// a + b, clamped at UINT64_MAX: a budget meaning "no practical limit"
+/// must not wrap around into a deadline in the past.
+uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
+  return b > UINT64_MAX - a ? UINT64_MAX : a + b;
+}
+
 PredictionServiceOptions Sanitize(PredictionServiceOptions options) {
   options.num_threads = std::max<size_t>(1, options.num_threads);
   options.max_batch_size = std::max<size_t>(1, options.max_batch_size);
@@ -248,13 +254,13 @@ PredictionHandle PredictionService::Submit(const Table& table, uint64_t seed,
     } else {
       state->submit_nanos = clock_->NowNanos();
       state->deadline_nanos =
-          state->submit_nanos + options_.max_queue_delay_nanos;
+          SaturatingAdd(state->submit_nanos, options_.max_queue_delay_nanos);
       // The wire carries a RELATIVE budget (client and service clocks share
       // no epoch); it becomes absolute exactly here, on the service clock.
       state->client_deadline_nanos =
           deadline_budget_nanos == 0
               ? 0
-              : state->submit_nanos + deadline_budget_nanos;
+              : SaturatingAdd(state->submit_nanos, deadline_budget_nanos);
       pending_.push_back(state);
     }
   }
@@ -264,11 +270,15 @@ PredictionHandle PredictionService::Submit(const Table& table, uint64_t seed,
     Resolve(state, std::move(result));
     return PredictionHandle(std::move(state));
   }
-  queue_cv_.notify_all();
+  queue_cv_.notify_one();  // the batcher is the only waiter
   return PredictionHandle(std::move(state));
 }
 
 void PredictionService::BatcherLoop() {
+  // Reused across flushes (cleared, capacity kept), so that a dispatch
+  // allocates only the pool closures.
+  std::vector<std::shared_ptr<internal::RequestState>> batch;
+  std::vector<std::shared_ptr<internal::RequestState>> shed;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     queue_cv_.wait(lock, [this] { return stop_ || !pending_.empty(); });
@@ -276,12 +286,19 @@ void PredictionService::BatcherLoop() {
       if (stop_) return;  // drained; Shutdown joins us next
       continue;
     }
-    // Deadline-driven coalescing: flush when the batch fills, when the
-    // oldest pending request's deadline arrives, or at shutdown --
-    // whichever comes first. A full batch never waits.
+    // Work-conserving coalescing: flush at once while a worker is idle --
+    // the members of a batch run as separate pool tasks, so holding a
+    // request beside an idle worker only adds latency. While every worker
+    // is busy, flush when the batch fills, when the oldest pending
+    // request's deadline arrives or when a worker frees, whichever comes
+    // first; shutdown flushes too. The wait goes through the clock even
+    // when the predicate already holds: an injected clock thereby sees the
+    // batcher thread before it reads the time below (tests/gate_clock.h
+    // relies on this to tell the batcher from the workers).
     const uint64_t deadline = pending_.front()->deadline_nanos;
     clock_->WaitUntil(queue_cv_, lock, deadline, [this] {
-      return stop_ || pending_.size() >= options_.max_batch_size;
+      return stop_ || pending_.size() >= options_.max_batch_size ||
+             in_flight_ < options_.num_threads;
     });
 
     // Shed-then-fill: pull pending requests until the batch fills,
@@ -290,9 +307,6 @@ void PredictionService::BatcherLoop() {
     // the requests behind it. Shed requests release their admission slot
     // and count as completed (deadline_exceeded in Stats), but take no
     // latency sample: they measure the caller's impatience, not ours.
-    std::vector<std::shared_ptr<internal::RequestState>> batch;
-    std::vector<std::shared_ptr<internal::RequestState>> shed;
-    batch.reserve(std::min(pending_.size(), options_.max_batch_size));
     const uint64_t now_nanos = clock_->NowNanos();
     while (!pending_.empty() && batch.size() < options_.max_batch_size) {
       std::shared_ptr<internal::RequestState> request =
@@ -316,6 +330,7 @@ void PredictionService::BatcherLoop() {
     std::shared_ptr<const ModelBundle> bundle;
     bool swapped = false;
     if (!batch.empty()) {
+      in_flight_ += batch.size();
       ++batches_;
       ++batch_size_histogram_[batch.size()];
       bundle = registry_->Current();
@@ -353,6 +368,7 @@ void PredictionService::BatcherLoop() {
               state.reset();
             });
       }
+      batch.clear();
       bundle.reset();  // the tasks' copies are the remaining pins
     }
     lock.lock();
@@ -386,12 +402,16 @@ void PredictionService::ExecuteRequest(
       // An injected clock threw: serve rather than shed.
     }
     if (expired) {
+      bool wake_batcher = false;
       {
         std::lock_guard<std::mutex> lock(mutex_);
+        --in_flight_;
         --outstanding_;
         ++completed_;
         ++deadline_exceeded_;
+        wake_batcher = !pending_.empty();
       }
+      if (wake_batcher) queue_cv_.notify_one();  // this worker is free
       PredictionResult result;
       result.status = RequestStatus::kDeadlineExceeded;
       Resolve(state, std::move(result));
@@ -443,10 +463,12 @@ void PredictionService::ExecuteRequest(
     // Wait() rethrow inside our destructor).
     result.latency_nanos = 0;
   }
+  bool wake_batcher = false;
   {
     // Completion frees an admission slot *before* the handle resolves, so
     // a caller woken by Get() observes the slot available.
     std::lock_guard<std::mutex> lock(mutex_);
+    --in_flight_;
     --outstanding_;
     ++completed_;
     // Sliding window: bounded memory and a bounded Stats() sort, however
@@ -457,7 +479,10 @@ void PredictionService::ExecuteRequest(
       latencies_[latency_next_] = result.latency_nanos;
       latency_next_ = (latency_next_ + 1) % kLatencyWindow;
     }
+    wake_batcher = !pending_.empty();
   }
+  // A worker just freed: pending requests need not wait for their timer.
+  if (wake_batcher) queue_cv_.notify_one();
   Resolve(state, std::move(result));
 }
 

@@ -91,12 +91,15 @@ struct PredictionServiceOptions {
   size_t num_threads = 1;
 
   /// A micro-batch flushes immediately once this many requests are
-  /// pending -- a full batch never waits on the deadline. Clamped to >= 1.
+  /// pending -- a full batch never waits on the deadline. Also the most
+  /// requests one flush takes. Clamped to >= 1.
   size_t max_batch_size = 32;
 
-  /// How long the oldest pending request may wait before its (possibly
-  /// partial) micro-batch flushes. A lone request flushes exactly when its
-  /// submit time plus this delay is reached on the service clock.
+  /// Bounds coalescing under saturation only: while every worker is busy,
+  /// the oldest pending request waits at most this long before its
+  /// (possibly partial) micro-batch flushes -- exactly when its submit
+  /// time plus this delay is reached on the service clock. A request that
+  /// arrives while a worker is idle is dispatched at once, never held.
   uint64_t max_queue_delay_nanos = 1'000'000;  // 1 ms
 
   /// Bounded admission: Submit rejects (status kRejected) while this many
@@ -155,16 +158,25 @@ struct ServiceStats {
 };
 
 /// Online serving frontend: callers Submit() single tables from any thread
-/// and get a future-like handle; a batcher thread coalesces pending
-/// requests into micro-batches under a max-batch-size / max-queue-delay
-/// deadline and dispatches them onto the shared ThreadPool + per-worker
+/// and get a future-like handle; a batcher thread dispatches pending
+/// requests as micro-batches onto the shared ThreadPool + per-worker
 /// Workspace/FeatureScratch machinery. Steady-state serving therefore
 /// allocates nothing inside featurization or the network and shares ONE
 /// immutable model *version* per micro-batch.
 ///
+/// Work-conserving dispatch: a micro-batch is not a batched computation
+/// (each member is its own pool task running one PredictTable), so
+/// holding a request back helps only when no worker could take it. The
+/// batcher therefore flushes the pending requests as soon as a worker is
+/// idle (fewer than num_threads requests dispatched and unfinished).
+/// Only while every worker is busy does it coalesce: then the pending
+/// requests flush when max_batch_size of them are waiting, when the
+/// oldest one's max_queue_delay_nanos deadline arrives, or when a worker
+/// frees -- whichever comes first.
+///
 /// Zero-downtime hot swap: the service serves whatever its ModelRegistry
 /// currently publishes. The batcher pins Current() ONCE per micro-batch
-/// (an atomic shared_ptr load), so a Publish during live traffic is
+/// (one shared_ptr copy), so a Publish during live traffic is
 /// race-free by construction -- in-flight batches finish on the version
 /// they pinned, batches dispatched after the publish pick up the new one,
 /// no request is dropped or delayed, and the old bundle is destroyed when
@@ -289,9 +301,15 @@ class PredictionService {
   std::vector<std::shared_ptr<const FeatureContext>> worker_context_;
 
   mutable std::mutex mutex_;
-  std::condition_variable queue_cv_;  // batcher parks here; Submit/Shutdown wake it
+  // The batcher is the only thread that parks here; Submit, Shutdown and
+  // a finishing request (when requests are pending) wake it.
+  std::condition_variable queue_cv_;
   std::deque<std::shared_ptr<internal::RequestState>> pending_;
   bool stop_ = false;
+  // Requests handed to the pool and not yet finished (completed or shed
+  // by the worker). Fewer than num_threads means a worker is idle, which
+  // is what lets the batcher flush without waiting.
+  size_t in_flight_ = 0;
   uint64_t submitted_ = 0;
   uint64_t completed_ = 0;
   uint64_t rejected_ = 0;

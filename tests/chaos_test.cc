@@ -31,6 +31,7 @@
 #include "core/predictor.h"
 #include "core/sato_model.h"
 #include "corpus/generator.h"
+#include "gate_clock.h"
 #include "serve/batch_predictor.h"
 #include "serve/clock.h"
 #include "serve/correction_wal.h"
@@ -64,6 +65,8 @@ using serve::Server;
 using serve::ServerOptions;
 using serve::ServerStats;
 using serve::ServiceStats;
+using serve::SteadyClock;
+using test_support::GateClock;
 namespace wire = serve::wire;
 using wire::Client;
 using wire::ClientResponse;
@@ -554,7 +557,8 @@ TEST_F(ChaosServingTest, BackoffThatWouldOutliveTheDeadlineReturnsTypedError) {
 // ---------------------------------------------------- deadline shedding ----
 
 TEST_F(ChaosServingTest, ExpiredDeadlineIsShedByTheBatcherTyped) {
-  FakeClock clock;
+  FakeClock fake;
+  GateClock clock(&fake);
   ModelRegistry registry;
   registry.Publish(model_, context_, *scaler_);
   PredictionServiceOptions options;
@@ -564,35 +568,45 @@ TEST_F(ChaosServingTest, ExpiredDeadlineIsShedByTheBatcherTyped) {
   options.clock = &clock;
   PredictionService service(&registry, options);
 
-  // A sheds (500 us budget < the 1 ms flush wait); B has no deadline and
-  // must ride the same micro-batch to a normal, oracle-identical answer.
+  // The only worker is held busy, so A and B queue behind it. A sheds
+  // (500 us budget < the 1 ms flush wait); B has no deadline and must
+  // ride the same micro-batch to a normal, oracle-identical answer.
+  clock.HoldNext(1);
+  auto busy = service.Submit((*tables_)[0], 10);
+  clock.AwaitParked(1);
   auto shed = service.Submit((*tables_)[1], 11, 500 * kMicrosecond);
   auto served = service.Submit((*tables_)[2], 12);
-  clock.AwaitWaiters(1);  // the batcher reached its flush-deadline wait
-  clock.AdvanceNanos(kMillisecond);
+  fake.AwaitWaiters(1);  // the batcher reached its flush-deadline wait
+  fake.AdvanceNanos(kMillisecond);
 
+  // Resolved while the worker is still held: the batcher shed it.
   EXPECT_EQ(shed.Get().status, RequestStatus::kDeadlineExceeded);
   EXPECT_TRUE(shed.Get().type_ids.empty());
+  clock.Release();
   EXPECT_EQ(served.Get().status, RequestStatus::kOk);
   EXPECT_EQ(served.Get().type_ids, Sequential((*tables_)[2], 12));
+  EXPECT_EQ(busy.Get().status, RequestStatus::kOk);
 
   service.Shutdown();
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.deadline_exceeded, 1u);
-  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.outstanding, 0u);
 }
 
 TEST_F(ChaosServingTest, WireDeadlinePropagatesAndShedsServerSide) {
+  SteadyClock steady;
+  GateClock clock(&steady);
   ModelRegistry registry;
   registry.Publish(model_, context_, *scaler_);
   PredictionServiceOptions sopts;
   sopts.num_threads = 1;
   sopts.max_batch_size = 64;
-  // The batcher waits 50 ms before flushing a lone request; a 5 ms wire
-  // budget is guaranteed to expire in the queue, so the service MUST shed
-  // (typed), not serve late.
+  // The only worker is held busy, so the batcher waits 50 ms before
+  // flushing a lone request; a 5 ms wire budget is guaranteed to expire
+  // in the queue, so the service MUST shed (typed), not serve late.
   sopts.max_queue_delay_nanos = 50 * kMillisecond;
+  sopts.clock = &clock;
   PredictionService service(&registry, sopts);
   Server server(&service, ServerOptions{});
 
@@ -603,12 +617,17 @@ TEST_F(ChaosServingTest, WireDeadlinePropagatesAndShedsServerSide) {
   policy.request_deadline_nanos = 5 * kMillisecond;
   client.set_retry_policy(policy);
 
+  clock.HoldNext(1);
+  auto busy = service.Submit((*tables_)[0], 10);
+  clock.AwaitParked(1);
   ClientResponse response = client.Predict((*tables_)[3], 13);
   EXPECT_TRUE(response.transport_ok);
   EXPECT_EQ(response.body.status, WireStatus::kDeadlineExceeded);
   EXPECT_EQ(response.attempts, 1);
   EXPECT_EQ(client.total_retries(), 0u);
   EXPECT_EQ(service.Stats().deadline_exceeded, 1u);
+  clock.Release();
+  EXPECT_EQ(busy.Get().status, RequestStatus::kOk);
   server.Shutdown();
   EXPECT_EQ(server.Stats().predict_deadline_exceeded, 1u);
 }

@@ -1,11 +1,15 @@
 // Concurrency battery for the online serving frontend
 // (serve::PredictionService): multi-producer determinism under micro-
-// batching, fake-clock deadline behaviour (no real sleeps anywhere in this
-// suite), backpressure on the bounded admission queue, graceful shutdown
+// batching, fake-clock dispatch behaviour (work-conserving dispatch to an
+// idle worker, deadline / batch-fill / freed-worker flushes while every
+// worker is held busy; no real sleeps anywhere in this suite),
+// backpressure on the bounded admission queue, graceful shutdown
 // semantics, and RCU hot swap under live traffic (mid-stream publishes,
 // per-version determinism, bundle retirement, context re-binding).
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -18,6 +22,7 @@
 #include "core/predictor.h"
 #include "core/sato_model.h"
 #include "corpus/generator.h"
+#include "gate_clock.h"
 #include "serve/batch_predictor.h"
 #include "serve/clock.h"
 #include "serve/model_registry.h"
@@ -35,6 +40,7 @@ using serve::PredictionHandle;
 using serve::PredictionService;
 using serve::PredictionServiceOptions;
 using serve::RequestStatus;
+using test_support::GateClock;
 
 constexpr uint64_t kMillisecond = 1'000'000;  // service clocks run in nanos
 
@@ -109,7 +115,7 @@ class PredictionServiceTest : public ::testing::Test {
     return predictor.PredictTable(table, &rng);
   }
 
-  static PredictionServiceOptions FakeClockOptions(FakeClock* clock) {
+  static PredictionServiceOptions FakeClockOptions(serve::Clock* clock) {
     PredictionServiceOptions options;
     options.num_threads = 1;
     options.max_batch_size = 8;
@@ -210,54 +216,137 @@ TEST_F(PredictionServiceTest, StressMatchesSequentialAcrossWorkersAndBatches) {
   }
 }
 
-// ------------------------------------------------- fake-clock deadlines ----
+// ------------------------------------------------- fake-clock dispatch ----
 
-// A lone request flushes exactly when its deadline is reached on the
-// injected clock: one nanosecond short leaves it queued, the final
-// nanosecond releases it. Its measured latency is then exactly the
-// max-queue-delay, which pins the latency stats as well.
-TEST_F(PredictionServiceTest, LoneRequestFlushesExactlyAtTheDeadline) {
+/// Spins (yielding, no sleeps) until the batcher has dispatched `n`
+/// micro-batches: a flush onto busy workers is visible in Stats before
+/// any member can complete.
+void AwaitBatches(const PredictionService& service, uint64_t n) {
+  while (service.Stats().batches < n) std::this_thread::yield();
+}
+
+// Work-conserving dispatch: a request that arrives while a worker is idle
+// is dispatched at once -- the clock never advances, yet it completes, with
+// zero queueing latency on the service clock, as a batch of one.
+TEST_F(PredictionServiceTest, IdleServiceDispatchesALoneRequestAtOnce) {
   const auto model = MakeModel(23);
   FakeClock clock;
   PredictionService service(Serve(model), FakeClockOptions(&clock));
 
   PredictionHandle handle = service.Submit((*tables_)[0], 5);
-  clock.AwaitWaiters(1);  // the batcher reached its deadline wait
-
-  clock.AdvanceNanos(kMillisecond - 1);
-  EXPECT_FALSE(handle.Done());  // one nanosecond short: still queued
-
-  clock.AdvanceNanos(1);  // exactly the deadline
   const serve::PredictionResult& result = handle.Get();
   EXPECT_EQ(result.status, RequestStatus::kOk);
   EXPECT_EQ(result.type_ids, Sequential(*model, (*tables_)[0], 5));
-  EXPECT_EQ(result.latency_nanos, kMillisecond);
+  EXPECT_EQ(result.latency_nanos, 0u);  // time never moved
 
   const serve::ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.batch_size_histogram[1], 1u);
+  EXPECT_EQ(stats.latency_p99_nanos, 0u);
+}
+
+// With the only worker held busy, a lone request flushes exactly when its
+// deadline is reached on the injected clock: one nanosecond short leaves
+// it queued, the final nanosecond releases it. Its measured latency is
+// then exactly the max-queue-delay (the worker is released at that
+// instant), which pins the latency stats as well.
+TEST_F(PredictionServiceTest, LoneRequestFlushesExactlyAtTheDeadline) {
+  const auto model = MakeModel(23);
+  FakeClock fake;
+  GateClock clock(&fake);
+  PredictionService service(Serve(model), FakeClockOptions(&clock));
+
+  clock.HoldNext(1);
+  PredictionHandle busy = service.Submit((*tables_)[1], 4);
+  clock.AwaitParked(1);  // the only worker is busy
+
+  PredictionHandle handle = service.Submit((*tables_)[0], 5);
+  fake.AwaitWaiters(1);  // the batcher reached its deadline wait
+
+  fake.AdvanceNanos(kMillisecond - 1);
+  EXPECT_EQ(service.Stats().batches, 1u);  // one nanosecond short: queued
+
+  fake.AdvanceNanos(1);  // exactly the deadline
+  AwaitBatches(service, 2);
+  EXPECT_FALSE(handle.Done());  // flushed onto the busy worker's queue
+  clock.Release();
+
+  const serve::PredictionResult& result = handle.Get();
+  EXPECT_EQ(result.status, RequestStatus::kOk);
+  EXPECT_EQ(result.type_ids, Sequential(*model, (*tables_)[0], 5));
+  EXPECT_EQ(result.latency_nanos, kMillisecond);
+  EXPECT_EQ(busy.Get().latency_nanos, kMillisecond);
+
+  const serve::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.batch_size_histogram[1], 2u);
   EXPECT_EQ(stats.latency_p50_nanos, kMillisecond);
   EXPECT_EQ(stats.latency_p95_nanos, kMillisecond);
   EXPECT_EQ(stats.latency_p99_nanos, kMillisecond);
 }
 
-// A full batch flushes immediately: the clock never advances, yet all
-// max_batch_size requests complete -- with zero queueing latency on the
-// service clock, and as one batch in the histogram.
+// The flush deadline is the OLDEST pending request's: a later arrival
+// rides along early instead of restarting the wait.
+TEST_F(PredictionServiceTest, BusyWorkersFlushAtTheOldestRequestsDeadline) {
+  const auto model = MakeModel(23);
+  FakeClock fake;
+  GateClock clock(&fake);
+  PredictionService service(Serve(model), FakeClockOptions(&clock));
+
+  clock.HoldNext(1);
+  PredictionHandle busy = service.Submit((*tables_)[1], 4);
+  clock.AwaitParked(1);
+
+  PredictionHandle oldest = service.Submit((*tables_)[2], 6);
+  fake.AwaitWaiters(1);
+  fake.AdvanceNanos(400'000);
+  PredictionHandle younger = service.Submit((*tables_)[3], 7);
+
+  fake.AdvanceNanos(600'000 - 1);
+  EXPECT_EQ(service.Stats().batches, 1u);
+  fake.AdvanceNanos(1);  // the oldest request's deadline
+  AwaitBatches(service, 2);
+  clock.Release();
+
+  EXPECT_EQ(oldest.Get().type_ids, Sequential(*model, (*tables_)[2], 6));
+  EXPECT_EQ(younger.Get().type_ids, Sequential(*model, (*tables_)[3], 7));
+  EXPECT_EQ(oldest.Get().latency_nanos, kMillisecond);
+  EXPECT_EQ(younger.Get().latency_nanos, 600'000u);
+  EXPECT_EQ(busy.Get().status, RequestStatus::kOk);
+
+  const serve::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.batch_size_histogram[2], 1u);  // both in one flush
+}
+
+// With every worker held busy, a full batch flushes immediately: the clock
+// never advances, yet all max_batch_size requests flush as one batch and
+// complete -- with zero queueing latency on the service clock.
 TEST_F(PredictionServiceTest, FullBatchFlushesImmediatelyWithoutWaiting) {
   const auto model = MakeModel(23);
-  FakeClock clock;
+  FakeClock fake;
+  GateClock clock(&fake);
   PredictionServiceOptions options = FakeClockOptions(&clock);
   options.max_batch_size = 4;
   options.num_threads = 2;
   options.max_queue_delay_nanos = 1'000'000'000;  // irrelevantly far away
   PredictionService service(Serve(model), options);
 
+  clock.HoldNext(2);
+  std::vector<PredictionHandle> busy;
+  for (size_t w = 0; w < 2; ++w) {
+    busy.push_back(service.Submit((*tables_)[10 + w], 50 + w));
+    clock.AwaitParked(w + 1);  // each worker busy in turn
+  }
+
   std::vector<PredictionHandle> handles;
   for (size_t i = 0; i < 4; ++i) {
     handles.push_back(service.Submit(
         (*tables_)[i], serve::BatchPredictor::TableSeed(3, i)));
   }
+  AwaitBatches(service, 3);  // the fourth request filled the batch
+  clock.Release();
+
   for (size_t i = 0; i < 4; ++i) {
     const serve::PredictionResult& result = handles[i].Get();
     EXPECT_EQ(result.status, RequestStatus::kOk);
@@ -266,31 +355,139 @@ TEST_F(PredictionServiceTest, FullBatchFlushesImmediatelyWithoutWaiting) {
                          serve::BatchPredictor::TableSeed(3, i)));
     EXPECT_EQ(result.latency_nanos, 0u);  // time never moved
   }
+  for (const PredictionHandle& handle : busy) {
+    EXPECT_EQ(handle.Get().status, RequestStatus::kOk);
+  }
 
   const serve::ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.batch_size_histogram[1], 2u);  // the two held requests
   EXPECT_EQ(stats.batch_size_histogram[4], 1u);
   EXPECT_EQ(stats.latency_p99_nanos, 0u);
 }
 
-// After Shutdown() no deadline wait survives: the fake clock has no
-// registered waiters, advancing time fires nothing, and new submissions
-// are turned away with kShutdown.
-TEST_F(PredictionServiceTest, NoTimerFiresAfterShutdown) {
+// A worker freeing flushes the pending requests at once, long before
+// their deadline: they go out together as one batch with zero latency.
+TEST_F(PredictionServiceTest, FreedWorkerFlushesPendingRequestsAtOnce) {
+  const auto model = MakeModel(23);
+  FakeClock fake;
+  GateClock clock(&fake);
+  PredictionServiceOptions options = FakeClockOptions(&clock);
+  options.max_queue_delay_nanos = 1'000'000'000;  // never reached
+  PredictionService service(Serve(model), options);
+
+  clock.HoldNext(1);
+  PredictionHandle busy = service.Submit((*tables_)[1], 4);
+  clock.AwaitParked(1);
+
+  std::vector<PredictionHandle> handles;
+  for (size_t i = 0; i < 3; ++i) {
+    handles.push_back(service.Submit(
+        (*tables_)[i], serve::BatchPredictor::TableSeed(19, i)));
+  }
+  fake.AwaitWaiters(1);
+  EXPECT_EQ(service.Stats().batches, 1u);
+  clock.Release();  // the worker frees; time stays at 0
+
+  for (size_t i = 0; i < 3; ++i) {
+    const serve::PredictionResult& result = handles[i].Get();
+    EXPECT_EQ(result.status, RequestStatus::kOk);
+    EXPECT_EQ(result.type_ids,
+              Sequential(*model, (*tables_)[i],
+                         serve::BatchPredictor::TableSeed(19, i)));
+    EXPECT_EQ(result.latency_nanos, 0u);
+  }
+  EXPECT_EQ(busy.Get().status, RequestStatus::kOk);
+  const serve::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.batch_size_histogram[3], 1u);
+}
+
+// A request whose deadline expires after its flush but before a worker
+// picks it up is shed by the worker -- and that worker counts as free
+// again: the next lone request is dispatched at once, not held for its
+// timer.
+TEST_F(PredictionServiceTest, WorkerShedFreesItsWorker) {
+  const auto model = MakeModel(23);
+  FakeClock fake;
+  GateClock clock(&fake);
+  PredictionServiceOptions options = FakeClockOptions(&clock);
+  options.max_batch_size = 2;
+  PredictionService service(Serve(model), options);
+
+  clock.HoldNext(1);
+  PredictionHandle busy = service.Submit((*tables_)[1], 4);
+  clock.AwaitParked(1);
+  PredictionHandle expiring = service.Submit((*tables_)[2], 6, 500'000);
+  PredictionHandle served = service.Submit((*tables_)[3], 7);
+  AwaitBatches(service, 2);  // the pair filled a batch behind the worker
+  fake.AdvanceNanos(600'000);  // past the first one's deadline
+  clock.Release();
+
+  EXPECT_EQ(expiring.Get().status, RequestStatus::kDeadlineExceeded);
+  EXPECT_EQ(served.Get().type_ids, Sequential(*model, (*tables_)[3], 7));
+  EXPECT_EQ(busy.Get().status, RequestStatus::kOk);
+
+  PredictionHandle next = service.Submit((*tables_)[0], 5);
+  EXPECT_EQ(next.Get().type_ids, Sequential(*model, (*tables_)[0], 5));
+  EXPECT_EQ(next.Get().latency_nanos, 0u);  // time did not move again
+
+  const serve::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.outstanding, 0u);
+}
+
+// A deadline budget of UINT64_MAX ("no practical limit") must not wrap
+// around the submit time into a deadline in the past: with the clock past
+// zero, the request is served, not shed.
+TEST_F(PredictionServiceTest, MaximalDeadlineBudgetDoesNotWrap) {
   const auto model = MakeModel(23);
   FakeClock clock;
+  PredictionServiceOptions options = FakeClockOptions(&clock);
+  options.max_batch_size = 1;  // flushes on arrival, whatever the policy
+  PredictionService service(Serve(model), options);
+  clock.AdvanceNanos(2);
+
+  PredictionHandle handle = service.Submit((*tables_)[0], 5, UINT64_MAX);
+  const serve::PredictionResult& result = handle.Get();
+  EXPECT_EQ(result.status, RequestStatus::kOk);
+  EXPECT_EQ(result.type_ids, Sequential(*model, (*tables_)[0], 5));
+  EXPECT_EQ(service.Stats().deadline_exceeded, 0u);
+}
+
+// After Shutdown() no deadline wait survives: the fake clock has no
+// registered waiters, advancing time fires nothing, and new submissions
+// are turned away with kShutdown. The request is queued behind a busy
+// worker, so the batcher is parked on its flush deadline when the
+// shutdown lands.
+TEST_F(PredictionServiceTest, NoTimerFiresAfterShutdown) {
+  const auto model = MakeModel(23);
+  FakeClock fake;
+  GateClock clock(&fake);
   PredictionService service(Serve(model), FakeClockOptions(&clock));
 
+  clock.HoldNext(1);
+  PredictionHandle busy = service.Submit((*tables_)[2], 8);
+  clock.AwaitParked(1);
   PredictionHandle queued = service.Submit((*tables_)[1], 9);
-  clock.AwaitWaiters(1);
-  service.Shutdown();  // drains: the queued request completes
+  fake.AwaitWaiters(1);
+
+  // Shutdown drains: it flushes the queued request (no deadline reached)
+  // and then waits for the pool, so the held worker is released once the
+  // batcher has exited.
+  std::thread shutdown([&] { service.Shutdown(); });
+  AwaitBatches(service, 2);
+  clock.Release();
+  shutdown.join();
 
   EXPECT_EQ(queued.Get().status, RequestStatus::kOk);
   EXPECT_EQ(queued.Get().type_ids, Sequential(*model, (*tables_)[1], 9));
-  EXPECT_EQ(clock.waiter_count(), 0u);
+  EXPECT_EQ(busy.Get().status, RequestStatus::kOk);
+  EXPECT_EQ(fake.waiter_count(), 0u);
 
   const serve::ServiceStats before = service.Stats();
-  clock.AdvanceNanos(100 * kMillisecond);  // nothing is listening
+  fake.AdvanceNanos(100 * kMillisecond);  // nothing is listening
   const serve::ServiceStats after = service.Stats();
   EXPECT_EQ(after.batches, before.batches);
   EXPECT_EQ(after.completed, before.completed);
@@ -306,19 +503,23 @@ TEST_F(PredictionServiceTest, NoTimerFiresAfterShutdown) {
 
 // Filling the bounded admission queue rejects overflow immediately (never
 // a hang or a crash), and completing the queued requests frees admission
-// slots again.
+// slots again. The first admitted request holds the only worker busy, so
+// the other two stay queued until the test lets it finish.
 TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
   const auto model = MakeModel(31);
-  FakeClock clock;
+  FakeClock fake;
+  GateClock clock(&fake);
   PredictionServiceOptions options = FakeClockOptions(&clock);
   options.max_batch_size = 16;   // larger than capacity: nothing flushes early
   options.queue_capacity = 3;
   PredictionService service(Serve(model), options);
 
   std::vector<PredictionHandle> admitted;
+  clock.HoldNext(1);
   for (size_t i = 0; i < 3; ++i) {
     admitted.push_back(service.Submit(
         (*tables_)[i], serve::BatchPredictor::TableSeed(11, i)));
+    if (i == 0) clock.AwaitParked(1);
   }
 
   PredictionHandle overflow = service.Submit((*tables_)[3], 1);
@@ -331,9 +532,9 @@ TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.outstanding, 3u);
 
-  // Drain: the deadline releases the partial batch; every admitted
+  // Drain: the freed worker releases the partial batch; every admitted
   // request completes correctly despite the overflow in between.
-  clock.AdvanceNanos(kMillisecond);
+  clock.Release();
   for (size_t i = 0; i < 3; ++i) {
     const serve::PredictionResult& result = admitted[i].Get();
     EXPECT_EQ(result.status, RequestStatus::kOk);
@@ -342,10 +543,13 @@ TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
                          serve::BatchPredictor::TableSeed(11, i)));
   }
 
-  // Admission has resumed: the next submit is queued, not rejected.
+  // Admission has resumed: the next submit is admitted (held in the
+  // worker until released), not rejected.
+  clock.HoldNext(1);
   PredictionHandle resumed = service.Submit((*tables_)[4], 2);
+  clock.AwaitParked(1);
   EXPECT_FALSE(resumed.Done());
-  clock.AdvanceNanos(kMillisecond);
+  clock.Release();
   EXPECT_EQ(resumed.Get().status, RequestStatus::kOk);
   EXPECT_EQ(resumed.Get().type_ids, Sequential(*model, (*tables_)[4], 2));
   EXPECT_EQ(service.Stats().rejected, 1u);  // the one overflow, no more
@@ -353,22 +557,30 @@ TEST_F(PredictionServiceTest, OverflowIsRejectedAndDrainingResumesAdmission) {
 
 // Shutdown with requests still coalescing: every queued request completes
 // (with the correct bytes), and submissions after shutdown are rejected.
+// Both workers are held busy by the first two requests, so the other four
+// are pending in the batcher when the shutdown lands.
 TEST_F(PredictionServiceTest, ShutdownWhileQueuedCompletesQueuedRequests) {
   constexpr size_t kQueued = 6;
   const auto model = MakeModel(31);
-  FakeClock clock;
+  FakeClock fake;
+  GateClock clock(&fake);
   PredictionServiceOptions options = FakeClockOptions(&clock);
   options.max_batch_size = 64;  // never fills: requests sit on the deadline
   options.num_threads = 2;
   PredictionService service(Serve(model), options);
 
   std::vector<PredictionHandle> handles;
+  clock.HoldNext(2);
   for (size_t i = 0; i < kQueued; ++i) {
     handles.push_back(service.Submit(
         (*tables_)[i], serve::BatchPredictor::TableSeed(13, i)));
+    if (i < 2) clock.AwaitParked(i + 1);
   }
-  clock.AwaitWaiters(1);  // all six are pending in the batcher
-  service.Shutdown();
+  fake.AwaitWaiters(1);  // the last four are pending in the batcher
+  std::thread shutdown([&] { service.Shutdown(); });
+  AwaitBatches(service, 3);  // the shutdown flushed them
+  clock.Release();
+  shutdown.join();
 
   for (size_t i = 0; i < kQueued; ++i) {
     const serve::PredictionResult& result = handles[i].Get();
@@ -469,25 +681,29 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
     options.max_queue_delay_nanos = 200'000;  // 200 us, real clock
     PredictionService service(&registry, options);
 
-    // Publisher: rolls out B after a third of the stream completed and C
-    // after two thirds. Closed-loop clients guarantee that requests are
-    // still being submitted after each publish, so later batches MUST pin
-    // the newer versions. C also waits for kClients + 1 completions after
-    // B: at most kClients requests (one per closed-loop client) were
-    // pinned before B, so at least one batch runs on B even when a loaded
-    // host wakes the publisher late.
+    // Publisher: rolls out B once all but kClients requests of the first
+    // third completed and C likewise for the first two thirds, so each
+    // publish lands while requests are still in flight. A client starts
+    // its second (third) third only once B (C) is live: however late a
+    // loaded host wakes the publisher, requests are still submitted after
+    // each publish, so later batches MUST pin the newer versions. At most
+    // kClients requests (one per closed-loop client) were pinned before B,
+    // and at least 2 * kClients more complete before C, so at least one
+    // batch runs on B. The clients watch `published` rather than the
+    // registry, so they synchronize with the publisher explicitly.
+    constexpr size_t kThird = kPerClient / 3;
+    std::atomic<uint64_t> published{1};
     std::thread publisher([&] {
-      while (service.Stats().completed < kTotal / 3) {
+      while (service.Stats().completed < kTotal / 3 - kClients) {
         std::this_thread::yield();
       }
       registry.Publish(model_b, context_, *scaler_, "B");
-      const uint64_t c_after = std::min<uint64_t>(
-          kTotal, std::max<uint64_t>(2 * kTotal / 3,
-                                     service.Stats().completed + kClients + 1));
-      while (service.Stats().completed < c_after) {
+      published.store(2);
+      while (service.Stats().completed < 2 * kTotal / 3 - kClients) {
         std::this_thread::yield();
       }
       registry.Publish(model_c, context_, *scaler_, "C");
+      published.store(3);
     });
 
     std::vector<PredictionHandle> handles(kTotal);
@@ -496,6 +712,9 @@ TEST_F(PredictionServiceTest, HotSwapUnderLoadStaysDeterministicPerVersion) {
     for (size_t c = 0; c < kClients; ++c) {
       clients.emplace_back([&, c] {
         for (size_t j = 0; j < kPerClient; ++j) {
+          while (published.load() < 1 + j / kThird) {
+            std::this_thread::yield();
+          }
           const size_t r = c * kPerClient + j;
           handles[r] =
               service.Submit((*tables_)[table_of[r]],
