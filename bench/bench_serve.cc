@@ -27,7 +27,6 @@
 
 #include "bench/bench_common.h"
 #include "core/predictor.h"
-#include "eval/model_eval.h"
 #include "features/config.h"
 #include "nn/gemm.h"
 #include "serve/batch_predictor.h"
@@ -665,8 +664,7 @@ void WritePhaseEntry(std::FILE* f, const PhaseBreakdown& p, bool last) {
 void WriteJson(const char* path, const BenchEnv& env,
                const std::vector<ServeResult>& results,
                const std::vector<PhaseBreakdown>& phases,
-               const eval::Int8GateResult& gate,
-               const PhaseBreakdown* int8_phases, const OnlineResult& online,
+               const OnlineResult& online,
                const SwapResult& swap, const CacheReplayResult& replay,
                const DaemonResult& daemon, const ResilienceResult& resilience,
                size_t model_bytes, size_t num_tables, size_t num_columns) {
@@ -695,19 +693,6 @@ void WriteJson(const char* path, const BenchEnv& env,
     WritePhaseEntry(f, phases[i], i + 1 == phases.size());
   }
   std::fprintf(f, "  ],\n");
-  // Quantized-GEMM accuracy gate: the int8 path may only serve when the
-  // macro-F1 degradation vs fp64 on this corpus is within epsilon.
-  std::fprintf(f,
-               "  \"int8_gate\": {\"fp64_macro_f1\": %.6f, "
-               "\"int8_macro_f1\": %.6f, \"delta\": %.6f, "
-               "\"epsilon\": %.6f, \"passed\": %s},\n",
-               gate.fp64_macro_f1, gate.int8_macro_f1, gate.delta,
-               gate.epsilon, gate.passed ? "true" : "false");
-  if (int8_phases != nullptr) {
-    std::fprintf(f, "  \"phase_breakdown_int8\": [\n");
-    WritePhaseEntry(f, *int8_phases, true);
-    std::fprintf(f, "  ],\n");
-  }
   // Online serving datapoint: latency percentiles (ms), the achieved
   // micro-batch size histogram (index s = batches of size s+1), and the
   // rejected-request count from the closed-loop client run.
@@ -872,9 +857,6 @@ int Run(const BenchFlags& flags) {
 
   std::vector<ServeResult> results;
   std::vector<PhaseBreakdown> phases;
-  eval::Int8GateResult gate{};
-  PhaseBreakdown int8_phases{};
-  bool have_int8_phases = false;
   if (!flags.online_only) {
     std::printf("%8s  %10s  %12s  %13s  %8s  %12s\n", "threads", "sec/batch",
                 "tables/sec", "columns/sec", "speedup", "mem vs repl");
@@ -905,33 +887,6 @@ int Run(const BenchFlags& flags) {
                   phase_total > 0.0 ? 100.0 * p.featurize_sec / phase_total
                                     : 0.0,
                   p.nn_sec, p.crf_sec);
-    }
-
-    // Quantized-inference gate: the int8 GEMM may only serve if its
-    // macro-F1 degradation vs fp64 on this corpus is within epsilon. Only a
-    // PASS selects the quantized path (for one extra phase datapoint that
-    // shows the nn speedup); the comparable main numbers above stay on the
-    // process-default fp64 path either way.
-    serve::ModelRegistry gate_registry;
-    auto bundle = gate_registry.Publish(model, context, scaler, "int8-gate");
-    gate = eval::RunInt8AccuracyGate(bundle, tables, /*seed=*/1,
-                                    /*epsilon=*/0.01);
-    std::printf("int8 gate: fp64 macro-F1 %.4f, int8 macro-F1 %.4f, delta "
-                "%.4f (epsilon %.3f) -> %s\n",
-                gate.fp64_macro_f1, gate.int8_macro_f1, gate.delta,
-                gate.epsilon, gate.passed ? "PASS" : "FAIL (serving fp64)");
-    if (gate.passed) {
-      nn::gemm::Config saved = nn::gemm::DefaultConfig();
-      nn::gemm::Config int8_config = saved;
-      int8_config.use_int8 = true;
-      nn::gemm::SetDefaultConfig(int8_config);
-      int8_phases = MeasurePhases(model, context, scaler, tables, 1, trials);
-      nn::gemm::SetDefaultConfig(saved);
-      have_int8_phases = true;
-      std::printf("phase breakdown (1 thread, int8 gemm): featurize %.3fs, "
-                  "nn %.3fs (vs %.3fs fp64), crf %.3fs\n",
-                  int8_phases.featurize_sec, int8_phases.nn_sec,
-                  phases.front().nn_sec, int8_phases.crf_sec);
     }
   }
 
@@ -1029,8 +984,7 @@ int Run(const BenchFlags& flags) {
               static_cast<unsigned long long>(resilience.typed_errors),
               static_cast<unsigned long long>(resilience.transport_failures));
 
-  WriteJson("BENCH_serve.json", env, results, phases, gate,
-            have_int8_phases ? &int8_phases : nullptr, online, swap, replay,
+  WriteJson("BENCH_serve.json", env, results, phases, online, swap, replay,
             daemon, resilience, model_bytes, tables.size(), num_columns);
   if (!replay.parity_ok) {
     std::fprintf(stderr,

@@ -17,13 +17,6 @@
 // `predict` and `eval` accept --jobs N to decode tables on N worker
 // threads through the BatchPredictor; output is identical for any N.
 //
-// `predict`, `eval` and `serve-sim` accept --int8 to request the
-// quantized GEMM inference path. The request is gated: the CLI first
-// evaluates the bundle on a held-out synthetic corpus with the fp64 and
-// the int8 kernels and only selects int8 when the macro-F1 degradation
-// is within --int8-epsilon (default 0.01); otherwise it warns and stays
-// on fp64. See eval::RunInt8AccuracyGate.
-//
 // `serve-sim` accepts --jobs N (prediction workers), --clients C
 // (concurrent closed-loop clients), --batch B (max micro-batch size),
 // --delay-us D (micro-batch flush deadline), --capacity Q (admission
@@ -52,7 +45,6 @@
 #include "core/trainer.h"
 #include "corpus/generator.h"
 #include "eval/model_eval.h"
-#include "nn/gemm.h"
 #include "serve/batch_predictor.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_service.h"
@@ -67,14 +59,11 @@ int Usage() {
                "usage:\n"
                "  sato_cli train <bundle> [--tables N] [--topics K] [--epochs E]\n"
                "                 [--variant base|notopic|nostruct|full] [--seed S]\n"
-               "  sato_cli predict <bundle> [--jobs N] [--int8]\n"
-               "                 [--int8-epsilon E] <table.csv>...\n"
+               "  sato_cli predict <bundle> [--jobs N] <table.csv>...\n"
                "  sato_cli eval <bundle> [--tables N] [--seed S] [--jobs N]\n"
-               "                 [--int8] [--int8-epsilon E]\n"
                "  sato_cli serve-sim <bundle> [--tables N] [--seed S] [--jobs N]\n"
                "                 [--clients C] [--batch B] [--delay-us D]\n"
                "                 [--capacity Q] [--swap-every N]\n"
-               "                 [--int8] [--int8-epsilon E]\n"
                "  sato_cli types\n");
   return 2;
 }
@@ -90,8 +79,6 @@ struct Flags {
   int delay_us = 500;     // serve-sim: micro-batch flush deadline
   int capacity = 1024;    // serve-sim: bounded admission queue
   int swap_every = 0;     // serve-sim: publish a new version every N submits
-  bool int8 = false;      // request the quantized GEMM path (gated)
-  double int8_epsilon = 0.01;  // largest acceptable macro-F1 degradation
   SatoVariant variant = SatoVariant::kFull;
 };
 
@@ -151,13 +138,6 @@ bool ParseFlags(int argc, char** argv, int start, Flags* flags,
       if (v == nullptr) return false;
       flags->swap_every = std::atoi(v);
       if (flags->swap_every < 0) return false;
-    } else if (arg == "--int8") {
-      flags->int8 = true;
-    } else if (arg == "--int8-epsilon") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      flags->int8_epsilon = std::strtod(v, nullptr);
-      if (flags->int8_epsilon < 0.0) return false;
     } else if (arg == "--variant") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -260,40 +240,6 @@ std::shared_ptr<const serve::ModelBundle> PublishLoaded(
                            sato->manifest.tag);
 }
 
-// Gated selection of the quantized GEMM path. Evaluates the bundle on a
-// freshly generated held-out corpus (seed-disjoint from training and from
-// the command's own tables) with fp64 and with int8; only a macro-F1
-// degradation within --int8-epsilon switches the process default config
-// to int8. On failure the fp64 path stays selected and we warn -- the
-// command still runs, just unquantized.
-void MaybeSelectInt8(const std::shared_ptr<const serve::ModelBundle>& bundle,
-                     const Flags& flags) {
-  if (!flags.int8) return;
-  corpus::CorpusOptions copts;
-  copts.num_tables = 100;
-  copts.seed = flags.seed + 777777;
-  corpus::CorpusGenerator generator(copts);
-  auto gate_tables = corpus::FilterMultiColumn(generator.Generate());
-  eval::Int8GateResult gate = eval::RunInt8AccuracyGate(
-      bundle, gate_tables, /*seed=*/2, flags.int8_epsilon);
-  if (gate.passed) {
-    nn::gemm::Config config = nn::gemm::DefaultConfig();
-    config.use_int8 = true;
-    nn::gemm::SetDefaultConfig(config);
-    std::fprintf(stderr,
-                 "int8 gate PASSED (fp64 macro-F1 %.4f, int8 %.4f, delta "
-                 "%.4f <= epsilon %.4f): serving quantized kernel %s\n",
-                 gate.fp64_macro_f1, gate.int8_macro_f1, gate.delta,
-                 gate.epsilon, nn::gemm::KernelName().c_str());
-  } else {
-    std::fprintf(stderr,
-                 "WARNING: int8 gate FAILED (fp64 macro-F1 %.4f, int8 %.4f, "
-                 "delta %.4f > epsilon %.4f): staying on fp64\n",
-                 gate.fp64_macro_f1, gate.int8_macro_f1, gate.delta,
-                 gate.epsilon);
-  }
-}
-
 int CmdPredict(const std::string& bundle_path,
                const std::vector<std::string>& csv_paths, const Flags& flags) {
   const int jobs = flags.jobs;
@@ -329,7 +275,6 @@ int CmdPredict(const std::string& bundle_path,
   serve::ModelRegistry registry;
   std::shared_ptr<const serve::ModelBundle> bundle =
       PublishLoaded(&registry, &sato);
-  MaybeSelectInt8(bundle, flags);
   std::vector<std::vector<std::string>> names;
   if (jobs == 1) {
     names.reserve(tables.size());
@@ -372,7 +317,6 @@ int CmdEval(const std::string& bundle_path, const Flags& flags) {
   serve::ModelRegistry registry;
   std::shared_ptr<const serve::ModelBundle> bundle =
       PublishLoaded(&registry, &sato);
-  MaybeSelectInt8(bundle, flags);
   eval::EvaluationResult result;
   size_t columns = 0;
   if (flags.jobs == 1) {
@@ -421,10 +365,6 @@ int CmdServeSim(const std::string& bundle_path, const Flags& flags) {
   serve::ModelRegistry registry;
   std::shared_ptr<const serve::ModelBundle> bundle =
       PublishLoaded(&registry, &sato);
-  // Select before workers start -- SetDefaultConfig is unsynchronised, and
-  // the audit below re-predicts through the same process default, so both
-  // sides of the determinism check run the same kernel.
-  MaybeSelectInt8(bundle, flags);
 
   serve::PredictionServiceOptions options;
   options.num_threads = static_cast<size_t>(flags.jobs);

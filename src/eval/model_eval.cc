@@ -1,9 +1,7 @@
 #include "eval/model_eval.h"
 
-#include <cmath>
 #include <stdexcept>
 
-#include "nn/gemm.h"
 #include "serve/batch_predictor.h"
 
 namespace sato::eval {
@@ -50,36 +48,6 @@ EvaluationResult EvaluateBundleOnTables(
   std::vector<int> gold, predicted;
   PredictTablesWithBundle(*bundle, tables, seed, &gold, &predicted);
   return Evaluate(gold, predicted, kNumSemanticTypes);
-}
-
-Int8GateResult RunInt8AccuracyGate(
-    const std::shared_ptr<const serve::ModelBundle>& bundle,
-    const std::vector<Table>& tables, uint64_t seed, double epsilon) {
-  if (bundle == nullptr) {
-    throw std::invalid_argument("RunInt8AccuracyGate: null bundle");
-  }
-  const nn::gemm::Config saved = nn::gemm::DefaultConfig();
-  Int8GateResult result;
-  result.epsilon = epsilon;
-  try {
-    nn::gemm::Config fp64 = saved;
-    fp64.use_reference = false;
-    fp64.use_int8 = false;
-    nn::gemm::SetDefaultConfig(fp64);
-    result.fp64_macro_f1 = EvaluateBundleOnTables(bundle, tables, seed).macro_f1;
-
-    nn::gemm::Config int8 = fp64;
-    int8.use_int8 = true;
-    nn::gemm::SetDefaultConfig(int8);
-    result.int8_macro_f1 = EvaluateBundleOnTables(bundle, tables, seed).macro_f1;
-  } catch (...) {
-    nn::gemm::SetDefaultConfig(saved);
-    throw;
-  }
-  nn::gemm::SetDefaultConfig(saved);
-  result.delta = result.fp64_macro_f1 - result.int8_macro_f1;
-  result.passed = result.delta <= epsilon;
-  return result;
 }
 
 }  // namespace sato::eval

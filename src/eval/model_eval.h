@@ -37,29 +37,6 @@ EvaluationResult EvaluateBundleOnTables(
     const std::shared_ptr<const serve::ModelBundle>& bundle,
     const std::vector<Table>& tables, uint64_t seed);
 
-/// Outcome of the int8 accuracy gate below.
-struct Int8GateResult {
-  double fp64_macro_f1 = 0.0;  ///< macro-F1 with the fp64 blocked GEMM
-  double int8_macro_f1 = 0.0;  ///< macro-F1 with the int8 quantized GEMM
-  double delta = 0.0;          ///< fp64_macro_f1 - int8_macro_f1
-  double epsilon = 0.0;        ///< largest acceptable degradation
-  bool passed = false;         ///< delta <= epsilon
-};
-
-/// Accuracy gate for the quantized inference path: evaluates `bundle` on
-/// `tables` twice -- once with the process default GEMM config forced to
-/// fp64, once forced to int8 -- and passes iff the macro-F1 degradation
-/// (fp64 minus int8; an int8 IMPROVEMENT never fails) is at most
-/// `epsilon`. Serving entry points (sato_cli --int8, bench_serve) must
-/// run this gate on a held-out corpus and leave the fp64 path selected
-/// when it fails. Temporarily swaps the process-wide gemm config, so call
-/// it during startup, before concurrent inference begins; the prior
-/// config is always restored. Throws std::invalid_argument on a null
-/// bundle.
-Int8GateResult RunInt8AccuracyGate(
-    const std::shared_ptr<const serve::ModelBundle>& bundle,
-    const std::vector<Table>& tables, uint64_t seed, double epsilon);
-
 }  // namespace sato::eval
 
 #endif  // SATO_EVAL_MODEL_EVAL_H_

@@ -7,7 +7,6 @@ Linear::Linear(size_t in_features, size_t out_features, util::Rng* rng)
       bias_("bias", Matrix::Zeros(1, out_features)) {}
 
 Matrix Linear::Forward(const Matrix& input, bool /*train*/) {
-  int8_weights_.store(nullptr, std::memory_order_release);
   input_cache_ = input;
   Matrix out = MatMul(input, weight_.value);
   out.AddRowVectorInPlace(bias_.value);
@@ -16,25 +15,12 @@ Matrix Linear::Forward(const Matrix& input, bool /*train*/) {
 
 const Matrix& Linear::Apply(const Matrix& input, Workspace* ws) const {
   Matrix& out = ws->ScratchUninit(input.rows(), weight_.value.cols());
-  const gemm::Config& config = gemm::DefaultConfig();
-  if (config.use_int8 && !config.use_reference &&
-      weight_.value.rows() <= gemm::kInt8MaxSharedDim) {
-    auto packed = int8_weights_.load(std::memory_order_acquire);
-    if (!packed || packed->source != weight_.value.data()) {
-      packed = std::make_shared<const gemm::PackedInt8B>(
-          gemm::PackInt8B(weight_.value));
-      int8_weights_.store(packed, std::memory_order_release);
-    }
-    gemm::GemmPrepackedInt8(input, *packed, &out, config);
-  } else {
-    MatMulInto(input, weight_.value, &out);
-  }
+  MatMulInto(input, weight_.value, &out);
   out.AddRowVectorInPlace(bias_.value);
   return out;
 }
 
 Matrix Linear::Backward(const Matrix& grad_output) {
-  int8_weights_.store(nullptr, std::memory_order_release);
   weight_.grad += MatMulTransposeA(input_cache_, grad_output);
   bias_.grad += grad_output.ColumnSums();
   return MatMulTransposeB(grad_output, weight_.value);

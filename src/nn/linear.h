@@ -1,28 +1,16 @@
 #ifndef SATO_NN_LINEAR_H_
 #define SATO_NN_LINEAR_H_
 
-#include <atomic>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "nn/gemm.h"
 #include "nn/layer.h"
 
 namespace sato::nn {
 
 /// Fully-connected layer: y = x W + b, W: [in, out], b: [1, out].
-///
-/// When the process-wide gemm config selects the int8 path, Apply reuses a
-/// lazily-built quantized packing of W across calls (quantizing the weight
-/// side is O(in * out) scalar work -- at serving batch sizes it costs more
-/// than the multiply itself). The cache is invalidated by the training
-/// entry points (Forward/Backward; the optimiser only steps parameters
-/// between a Backward and the next Forward) and keyed on W's buffer
-/// address so replacing the weights wholesale (nn::LoadParameters
-/// move-assigns a fresh buffer) never reuses a stale packing. Concurrent
-/// Apply calls may race to build it; every build packs the same frozen
-/// weights, so whichever wins is interchangeable.
+/// Apply is the const inference path: one MatMulInto into workspace
+/// scratch plus the bias, safe to call concurrently on a frozen layer.
 class Linear : public Layer {
  public:
   Linear(size_t in_features, size_t out_features, util::Rng* rng);
@@ -43,7 +31,6 @@ class Linear : public Layer {
   Parameter weight_;
   Parameter bias_;
   Matrix input_cache_;
-  mutable std::atomic<std::shared_ptr<const gemm::PackedInt8B>> int8_weights_;
 };
 
 }  // namespace sato::nn

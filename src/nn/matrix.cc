@@ -122,9 +122,9 @@ std::string Matrix::DebugString() const {
 }
 
 // All four multiply routings funnel through the blocked kernel in
-// nn/gemm.h (the process-wide gemm::DefaultConfig() selects the kernel),
-// so Linear, attention, the encoder and the column-wise model pick up
-// kernel improvements with no call-site changes.
+// nn/gemm.h (the immutable gemm::DefaultConfig() selects the
+// micro-kernel), so Linear, attention, the encoder and the column-wise
+// model pick up kernel improvements with no call-site changes.
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   Matrix c;

@@ -123,11 +123,10 @@ class Matrix {
 
 // -- matrix multiplication --------------------------------------------------
 // All four routings run on the cache-blocked, register-tiled kernel in
-// nn/gemm.h under the process-wide gemm::DefaultConfig() (serial blocked
-// kernel by default -- see gemm.h for tuning, parallel splits and the
-// reference-kernel escape hatch). They are re-entrant, allocate no
-// steady-state heap (packing scratch is thread_local and recycled), and
-// throw std::invalid_argument on inner-dimension mismatch.
+// nn/gemm.h under the immutable gemm::DefaultConfig() (see gemm.h for the
+// tuning knobs). They are re-entrant, allocate no steady-state heap
+// (packing scratch is thread_local and recycled), and throw
+// std::invalid_argument on inner-dimension mismatch.
 
 /// C = A * B. Shapes: [m,k] x [k,n] -> [m,n].
 Matrix MatMul(const Matrix& a, const Matrix& b);

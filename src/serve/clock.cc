@@ -7,6 +7,27 @@ namespace sato::serve {
 
 // ------------------------------------------------------------ SteadyClock ----
 
+namespace {
+
+using TimePoint = std::chrono::steady_clock::time_point;
+
+/// `base` plus `deadline_nanos`, clamped to TimePoint::max(). The clamp
+/// matters for deadlines past the end of the signed time_point range: a
+/// saturated UINT64_MAX sum, or anything above INT64_MAX, would otherwise
+/// convert to a negative (already expired) offset, and values just below
+/// INT64_MAX would overflow the sum.
+TimePoint DeadlineAfter(TimePoint base, uint64_t deadline_nanos) {
+  const auto headroom =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(TimePoint::max() -
+                                                           base);
+  if (deadline_nanos >= static_cast<uint64_t>(headroom.count())) {
+    return TimePoint::max();
+  }
+  return base + std::chrono::nanoseconds(deadline_nanos);
+}
+
+}  // namespace
+
 uint64_t SteadyClock::NowNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -18,13 +39,16 @@ bool SteadyClock::WaitUntil(std::condition_variable& cv,
                             std::unique_lock<std::mutex>& lock,
                             uint64_t deadline_nanos,
                             std::function<bool()> pred) {
-  return cv.wait_until(lock, base_ + std::chrono::nanoseconds(deadline_nanos),
-                       std::move(pred));
+  const TimePoint deadline = DeadlineAfter(base_, deadline_nanos);
+  if (deadline == TimePoint::max()) {  // never fires: wait for pred alone
+    cv.wait(lock, std::move(pred));
+    return true;
+  }
+  return cv.wait_until(lock, deadline, std::move(pred));
 }
 
 void SteadyClock::SleepUntil(uint64_t deadline_nanos) {
-  std::this_thread::sleep_until(base_ +
-                                std::chrono::nanoseconds(deadline_nanos));
+  std::this_thread::sleep_until(DeadlineAfter(base_, deadline_nanos));
 }
 
 // -------------------------------------------------------------- FakeClock ----

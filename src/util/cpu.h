@@ -16,13 +16,12 @@ bool CpuHasAvx2();
 /// micro-kernel wants both).
 bool CpuHasAvx2Fma();
 
-/// Process-wide escape hatch: true when the environment variable
-/// SATO_DISABLE_CPU_DISPATCH is set to a non-empty value other than "0"
-/// at first use. Both features::DefaultConfig() and gemm::DefaultConfig()
-/// honour it by constructing with enable_cpu_dispatch = false, pinning
-/// every kernel to its portable scalar baseline -- CI runs the parity
-/// suites a second time under this hook so the scalar kernels stay
-/// continuously covered.
+/// True when the environment variable SATO_DISABLE_CPU_DISPATCH is set
+/// to a non-empty value other than "0" at first use. Both
+/// features::DefaultConfig() and the immutable gemm::DefaultConfig() are
+/// built with enable_cpu_dispatch = false when it is, pinning every kernel
+/// to its portable scalar baseline -- CI runs the parity suites a second
+/// time under this hook so the scalar kernels stay continuously covered.
 bool CpuDispatchDisabledByEnv();
 
 }  // namespace sato::util

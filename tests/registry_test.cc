@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -17,8 +18,6 @@
 #include "core/predictor.h"
 #include "core/sato_model.h"
 #include "corpus/generator.h"
-#include "eval/model_eval.h"
-#include "nn/gemm.h"
 #include "serve/model_registry.h"
 #include "util/rng.h"
 
@@ -243,48 +242,6 @@ TEST_F(ModelRegistryTest, ConcurrentPublishAndPinIsSafe) {
   uint64_t served = 0;
   for (const auto& v : stats.versions) served += v.served;
   EXPECT_GE(served, 1u);  // readers recorded against real versions
-}
-
-// ------------------------------------------------ int8 accuracy gate ----
-
-TEST_F(ModelRegistryTest, Int8AccuracyGateEvaluatesBothKernelsAndRestores) {
-  ModelRegistry registry;
-  auto bundle = registry.Publish(MakeModel(5), context_, *scaler_);
-  const nn::gemm::Config before = nn::gemm::DefaultConfig();
-
-  // Epsilon 1.0 can never fail (macro-F1 lives in [0, 1], so the
-  // degradation is at most 1): the pass path.
-  eval::Int8GateResult gate =
-      eval::RunInt8AccuracyGate(bundle, *tables_, /*seed=*/2, /*epsilon=*/1.0);
-  EXPECT_TRUE(gate.passed);
-  EXPECT_GE(gate.fp64_macro_f1, 0.0);
-  EXPECT_LE(gate.fp64_macro_f1, 1.0);
-  EXPECT_GE(gate.int8_macro_f1, 0.0);
-  EXPECT_LE(gate.int8_macro_f1, 1.0);
-  EXPECT_DOUBLE_EQ(gate.delta, gate.fp64_macro_f1 - gate.int8_macro_f1);
-  EXPECT_EQ(gate.epsilon, 1.0);
-
-  // Epsilon below -1 can never pass: the fail path, without needing a
-  // corrupted model.
-  eval::Int8GateResult fail =
-      eval::RunInt8AccuracyGate(bundle, *tables_, /*seed=*/2,
-                                /*epsilon=*/-2.0);
-  EXPECT_FALSE(fail.passed);
-  // Same bundle, same tables, same seed: the two gate runs measured the
-  // same numbers (the gate itself is deterministic).
-  EXPECT_EQ(fail.fp64_macro_f1, gate.fp64_macro_f1);
-  EXPECT_EQ(fail.int8_macro_f1, gate.int8_macro_f1);
-
-  // The gate swaps the process-wide gemm config twice; both exits must
-  // restore what was there before.
-  const nn::gemm::Config& after = nn::gemm::DefaultConfig();
-  EXPECT_EQ(after.use_int8, before.use_int8);
-  EXPECT_EQ(after.use_reference, before.use_reference);
-  EXPECT_EQ(after.enable_cpu_dispatch, before.enable_cpu_dispatch);
-
-  EXPECT_THROW(
-      eval::RunInt8AccuracyGate(nullptr, *tables_, /*seed=*/2, 0.01),
-      std::invalid_argument);
 }
 
 }  // namespace

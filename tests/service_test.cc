@@ -9,8 +9,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -936,6 +940,34 @@ TEST(FakeClockTest, WaitUntilReturnsImmediatelyPastDeadline) {
   EXPECT_FALSE(clock.WaitUntil(cv, lock, 50, [] { return false; }));
   EXPECT_TRUE(clock.WaitUntil(cv, lock, 50, [] { return true; }));
   EXPECT_EQ(clock.waiter_count(), 0u);
+}
+
+// A deadline past the end of steady_clock's signed range (the saturated
+// UINT64_MAX that Submit produces for a huge queue delay, or anything above
+// INT64_MAX) never fires: the wait ends only when the predicate turns true.
+TEST(SteadyClockTest, FarFutureDeadlineWaitsForPredicate) {
+  constexpr uint64_t kInt64Max =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max());
+  for (uint64_t deadline : {std::numeric_limits<uint64_t>::max(),
+                            kInt64Max + 5, kInt64Max - 5}) {
+    serve::SteadyClock clock;
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool ready = false;
+    std::thread setter([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      {
+        std::lock_guard<std::mutex> guard(mutex);
+        ready = true;
+      }
+      cv.notify_all();
+    });
+    std::unique_lock<std::mutex> lock(mutex);
+    EXPECT_TRUE(clock.WaitUntil(cv, lock, deadline, [&] { return ready; }))
+        << deadline;
+    lock.unlock();
+    setter.join();
+  }
 }
 
 }  // namespace

@@ -291,6 +291,12 @@ TEST(SimdParityTest, KernelNameReflectsConfigAndHost) {
   Config dispatch;
   dispatch.enable_cpu_dispatch = true;
   EXPECT_EQ(KernelName(dispatch), SimdAvailable() ? "avx2" : "scalar");
+  // SATO_DISABLE_CPU_DISPATCH reaches the default config; CI runs this
+  // suite a second time with it set.
+  if (util::CpuDispatchDisabledByEnv()) {
+    EXPECT_FALSE(DefaultConfig().enable_cpu_dispatch);
+    EXPECT_EQ(KernelName(), "scalar");
+  }
 }
 
 }  // namespace
