@@ -219,12 +219,11 @@ int Run() {
   // reference re-tokenises via TableToDocument; the fast path reads the
   // prebuilt cache's ids).
   {
-    util::Rng rng(3);
     std::vector<double> theta;
     for (size_t i = 0; i < tables.size(); ++i) {  // warm
       scratch.lda.ids.clear();
       caches[i].CollectLdaIds(lda.options().max_doc_tokens, &scratch.lda.ids);
-      lda.InferTopicsInto(&rng, &scratch.lda, &theta);
+      lda.InferTopicsInto(&scratch.lda, &theta);
     }
     timer.Reset();
     for (int r = 0; r < trials; ++r) {
@@ -232,14 +231,14 @@ int Run() {
         scratch.lda.ids.clear();
         caches[i].CollectLdaIds(lda.options().max_doc_tokens,
                                 &scratch.lda.ids);
-        lda.InferTopicsInto(&rng, &scratch.lda, &theta);
+        lda.InferTopicsInto(&scratch.lda, &theta);
       }
     }
     double fast_sec = timer.ElapsedSeconds() / trials;
     timer.Reset();
     for (int r = 0; r < trials; ++r) {
       for (const Table& t : tables) {
-        theta = lda.ReferenceInferTopics(topic::TableToDocument(t), &rng);
+        theta = lda.ReferenceInferTopics(topic::TableToDocument(t));
       }
     }
     double ref_sec = timer.ElapsedSeconds() / trials;
@@ -268,7 +267,7 @@ int Run() {
           features::ColumnFeatures f = pipeline.ExtractReference(c);
           (void)f;
         }
-        topic = lda.ReferenceInferTopics(topic::TableToDocument(t), &rng);
+        topic = lda.ReferenceInferTopics(topic::TableToDocument(t));
       }
     }
     double ref_sec = timer.ElapsedSeconds() / trials;

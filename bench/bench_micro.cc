@@ -106,12 +106,10 @@ BENCHMARK(BM_FeatureExtractionPerColumn);
 
 void BM_LdaInferencePerTable(benchmark::State& state) {
   const MicroEnv& env = MicroEnv::Get();
-  util::Rng rng(2);
   size_t i = 0;
   for (auto _ : state) {
     const Table& t = env.tables[i % env.tables.size()];
-    benchmark::DoNotOptimize(
-        env.lda.InferTopics(topic::TableToDocument(t), &rng));
+    benchmark::DoNotOptimize(env.lda.InferTopics(topic::TableToDocument(t)));
     ++i;
   }
 }

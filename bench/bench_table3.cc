@@ -15,11 +15,10 @@ int main() {
   using namespace sato::bench;
   BenchEnv env = BuildEnv();
 
-  sato::util::Rng rng(321);
   sato::topic::TopicAnalysis analysis(&env.context.lda());
   // Fit on the evaluation corpus D, as §5.5 averages theta over the tables
   // containing each type.
-  analysis.Fit(env.tables_d, &rng);
+  analysis.Fit(env.tables_d);
   auto salient = analysis.SalientTopics(5, 5);
 
   std::printf("=== Table 3: top-5 salient topics and representative types ===\n\n");

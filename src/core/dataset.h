@@ -38,9 +38,10 @@ class DatasetBuilder {
   /// Featurises every fully-labeled table (partial tables are skipped).
   ///
   /// With `threads > 1` tables are featurised in parallel; results are
-  /// identical to the single-threaded run because every table draws its
-  /// own sub-seed from `rng` up front (topic-vector Gibbs chains are
-  /// per-table).
+  /// identical to the single-threaded run because featurisation, the
+  /// topic-vector fold-in included, is deterministic. Every table still
+  /// draws its own sub-seed from `rng` up front, so the stream `rng` is
+  /// left at does not depend on the thread count either.
   Dataset Build(const std::vector<Table>& tables, util::Rng* rng,
                 int threads = 1) const;
 

@@ -44,12 +44,12 @@ FeatureContext FeatureContext::Build(
 }
 
 std::vector<double> FeatureContext::TopicVector(const Table& table,
-                                                util::Rng* rng) const {
-  return lda_->InferTopics(topic::TableToDocument(table), rng);
+                                                util::Rng* /*rng*/) const {
+  return lda_->InferTopics(topic::TableToDocument(table));
 }
 
 void FeatureContext::FeaturizeTable(
-    const Table& table, util::Rng* rng, features::FeatureScratch* scratch,
+    const Table& table, util::Rng* /*rng*/, features::FeatureScratch* scratch,
     std::vector<features::ColumnFeatures>* features,
     std::vector<double>* topic) const {
   // Growth accounting is layered, not repeated: the cache's own counter
@@ -62,7 +62,7 @@ void FeatureContext::FeaturizeTable(
   scratch->lda.ids.clear();
   scratch->cache.CollectLdaIds(lda_->options().max_doc_tokens,
                                &scratch->lda.ids);
-  lda_->InferTopicsInto(rng, &scratch->lda, topic);
+  lda_->InferTopicsInto(&scratch->lda, topic);
   if (scratch->lda.CapacityBytes() > lda_capacity_before) {
     ++scratch->growth_events;
   }

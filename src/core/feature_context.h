@@ -40,14 +40,16 @@ class FeatureContext {
   const topic::LdaModel& lda() const { return *lda_; }
 
   /// The table topic vector (§3.2): LDA mixture over the table's values.
-  /// Shared by every column of the table.
+  /// Shared by every column of the table. The fold-in is deterministic, so
+  /// `rng` is unused; it stays in the signature until the prediction seed
+  /// is removed from the serving API.
   std::vector<double> TopicVector(const Table& table, util::Rng* rng) const;
 
   /// Tokenize-once fast path for one table: builds the TokenCache in
   /// `scratch`, runs the four id-based extractor kernels per column into
-  /// `*features`, then folds the cached LDA ids into `*topic` (consuming
-  /// `rng` exactly like TopicVector, so results match the per-column path
-  /// bit for bit). A warm scratch makes the whole call allocation-free;
+  /// `*features`, then folds the cached LDA ids into `*topic` (the same
+  /// mixture as TopicVector up to rounding; `rng` is unused, as there). A
+  /// warm scratch makes the whole call allocation-free;
   /// scratch->growth_events counts the calls that were not.
   void FeaturizeTable(const Table& table, util::Rng* rng,
                       features::FeatureScratch* scratch,

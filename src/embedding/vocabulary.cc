@@ -7,12 +7,12 @@
 
 namespace sato::embedding {
 
-void Vocabulary::Count(std::string_view token) {
+void Vocabulary::Count(std::string_view token, int64_t n) {
   auto it = counts_.find(token);
   if (it == counts_.end()) {
-    counts_.emplace(std::string(token), 1);
+    counts_.emplace(std::string(token), n);
   } else {
-    ++it->second;
+    it->second += n;
   }
 }
 

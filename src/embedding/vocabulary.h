@@ -22,8 +22,8 @@ using TokenId = int;
 /// frequency (ties broken lexicographically, so builds are deterministic).
 class Vocabulary {
  public:
-  /// Adds one occurrence of a token (pre-finalize).
-  void Count(std::string_view token);
+  /// Adds `n` occurrences of a token (pre-finalize).
+  void Count(std::string_view token, int64_t n = 1);
 
   /// Adds occurrences of each token in the sequence.
   void CountAll(const std::vector<std::string>& tokens);

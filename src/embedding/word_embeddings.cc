@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -86,6 +87,7 @@ WordEmbeddings WordEmbeddings::Load(std::istream* in) {
   Vocabulary vocab;
   std::vector<std::pair<std::string, int64_t>> entries;
   entries.reserve(n);
+  int64_t total = 0;  // bounds every count sum below INT64_MAX
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t len = 0;
     in->read(reinterpret_cast<char*>(&len), sizeof(len));
@@ -94,15 +96,26 @@ WordEmbeddings WordEmbeddings::Load(std::istream* in) {
     int64_t freq = 0;
     in->read(reinterpret_cast<char*>(&freq), sizeof(freq));
     if (!*in) throw std::runtime_error("WordEmbeddings::Load: truncated");
+    if (freq < 1 || freq > std::numeric_limits<int64_t>::max() - total) {
+      throw std::runtime_error("WordEmbeddings::Load: invalid word frequency");
+    }
+    total += freq;
     entries.emplace_back(std::move(t), freq);
   }
   // Rebuild the vocabulary with identical id assignment: Finalize sorts by
   // (count desc, token asc), which reproduces the saved order because that
-  // order was produced the same way.
-  for (const auto& [t, freq] : entries) {
-    for (int64_t c = 0; c < freq; ++c) vocab.Count(t);
-  }
+  // order was produced the same way -- unless a corrupt frequency or a
+  // repeated token shifts the ids off the rows of the matrix.
+  for (const auto& [t, freq] : entries) vocab.Count(t, freq);
   vocab.Finalize(1);
+  if (vocab.size() != n) {
+    throw std::runtime_error("WordEmbeddings::Load: vocabulary mismatch");
+  }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (vocab.Token(static_cast<TokenId>(i)) != entries[i].first) {
+      throw std::runtime_error("WordEmbeddings::Load: vocabulary mismatch");
+    }
+  }
   nn::Matrix vectors = nn::LoadMatrix(in);
   return WordEmbeddings(std::move(vocab), std::move(vectors));
 }

@@ -429,9 +429,9 @@ void PredictionService::ExecuteRequest(
       throw std::runtime_error("injected dispatch fault");
     }
     if (state->table.num_columns() > 0) {
-      // The caller-supplied seed is the ONLY stochastic input: prediction
-      // is a pure function of (table, seed) and the pinned version,
-      // never of batching/workers.
+      // Prediction is a pure function of the table and the pinned
+      // version, never of batching/workers: the caller-supplied seed is
+      // passed along, but nothing on the path draws from it.
       util::Rng rng(state->seed);
       result.type_ids = bundle->predictor().PredictTable(
           state->table, &rng, &workspaces_[worker], &scratches_[worker]);

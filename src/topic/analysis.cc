@@ -6,14 +6,14 @@
 
 namespace sato::topic {
 
-void TopicAnalysis::Fit(const std::vector<Table>& tables, util::Rng* rng) {
+void TopicAnalysis::Fit(const std::vector<Table>& tables) {
   const int k = lda_->num_topics();
   type_topic_.assign(kNumSemanticTypes,
                      std::vector<double>(static_cast<size_t>(k), 0.0));
   std::vector<double> type_count(kNumSemanticTypes, 0.0);
 
   for (const Table& table : tables) {
-    std::vector<double> theta = lda_->InferTopics(TableToDocument(table), rng);
+    std::vector<double> theta = lda_->InferTopics(TableToDocument(table));
     // Accumulate this table's mixture into every type present in it (the
     // paper's "average topic distribution based on the topic distributions
     // theta_i of the i-th table that contains the semantic type").

@@ -6,7 +6,6 @@
 
 #include "table/table.h"
 #include "topic/lda.h"
-#include "util/rng.h"
 
 namespace sato::topic {
 
@@ -33,7 +32,7 @@ class TopicAnalysis {
 
   /// Computes the [num_types x num_topics] matrix of average topic
   /// distributions per semantic type over the labeled tables.
-  void Fit(const std::vector<Table>& tables, util::Rng* rng);
+  void Fit(const std::vector<Table>& tables);
 
   /// Top `num_topics` salient topics, each with `k` representative types.
   std::vector<SalientTopic> SalientTopics(size_t num_topics, size_t k) const;

@@ -3,56 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
-#include "util/cpu.h"
-
-#if defined(__GNUC__) && defined(__x86_64__)
-#define SATO_LDA_HAS_AVX2 1
-#include <immintrin.h>
-
-#include <bit>
-#endif
-
 namespace sato::topic {
 
-namespace {
+// The options struct is written raw into bundles (Save/Load), so its layout
+// is part of the bundle format.
+static_assert(sizeof(LdaOptions) == 48, "LdaOptions layout is serialised");
 
-#if defined(SATO_LDA_HAS_AVX2)
-// One fold-in Gibbs sampling step: weights p[t] = (n_dk[t] + alpha) *
-// col[t], cumulative sum, one draw, index search. Bitwise-identical to
-// the scalar step: the products are the same element-wise IEEE ops (just
-// four at a time), the prefix chain keeps the exact serial add order, and
-// counting cum[t] < u in a non-decreasing array (p[t] >= 0 always) is the
-// index lower_bound returns, with the same past-the-end fallback.
-// Requires k % 4 == 0 (the dispatch site checks).
-__attribute__((target("avx2"))) int SampleTopicAvx2(const double* col,
-                                                    const double* n_dk,
-                                                    double* cum, int k,
-                                                    double alpha,
-                                                    util::Rng* rng) {
-  const __m256d av = _mm256_set1_pd(alpha);
-  for (int t = 0; t < k; t += 4) {
-    __m256d nd = _mm256_loadu_pd(n_dk + t);
-    __m256d c = _mm256_loadu_pd(col + t);
-    _mm256_storeu_pd(cum + t, _mm256_mul_pd(_mm256_add_pd(nd, av), c));
-  }
-  double acc = 0.0;
-  for (int t = 0; t < k; ++t) {
-    acc += cum[t];
-    cum[t] = acc;
-  }
-  const __m256d uv = _mm256_set1_pd(rng->Uniform() * acc);
-  int below = 0;
-  for (int t = 0; t < k; t += 4) {
-    __m256d c = _mm256_loadu_pd(cum + t);
-    below += std::popcount(static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_cmp_pd(c, uv, _CMP_LT_OQ))));
-  }
-  return below >= k ? k - 1 : below;
-}
-#endif  // SATO_LDA_HAS_AVX2
+namespace {
 
 using embedding::TokenId;
 using embedding::Vocabulary;
@@ -71,6 +32,60 @@ std::vector<TokenId> Encode(const Vocabulary& vocab,
   return ids;
 }
 
+// gensim's gamma_threshold: the E-step stops once the mean absolute change
+// of gamma falls below it.
+constexpr double kGammaThreshold = 1e-3;
+// gensim's epsilon: keeps the per-word normaliser away from zero.
+constexpr double kNormEpsilon = 1e-100;
+
+// Digamma for x > 0: the recurrence psi(x) = psi(x + 1) - 1/x lifts x to at
+// least 6, then the asymptotic series (absolute error below 1e-12 there).
+double Digamma(double x) {
+  double result = 0.0;
+  while (x < 6.0) {
+    result -= 1.0 / x;
+    x += 1.0;
+  }
+  const double f = 1.0 / (x * x);
+  return result + std::log(x) - 0.5 / x -
+         f * (1.0 / 12 -
+              f * (1.0 / 120 - f * (1.0 / 252 - f * (1.0 / 240 - f / 132))));
+}
+
+// e[t] = exp(psi(gamma[t])): exp(E[log theta_t]) up to the common factor
+// exp(-psi(sum gamma)), which cancels in the gamma update.
+void ExpDigamma(const double* gamma, size_t k, double* e) {
+  for (size_t t = 0; t < k; ++t) e[t] = std::exp(Digamma(gamma[t]));
+}
+
+// Dot product with a fixed 8-lane split: lane l sums the products at
+// indices = l (mod 8) in order, then the lanes combine in a fixed tree.
+// Independent lanes let the compiler vectorise without reassociating, so
+// the bits do not depend on how it vectorises.
+double Dot8(const double* a, const double* b, size_t n) {
+  double lane[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  const size_t tail = n % 8;
+  const size_t body = n - tail;
+  for (size_t i = 0; i < body; i += 8) {
+    for (size_t l = 0; l < 8; ++l) lane[l] += a[i + l] * b[i + l];
+  }
+  for (size_t l = 0; l < tail; ++l) lane[l] += a[body + l] * b[body + l];
+  return ((lane[0] + lane[4]) + (lane[1] + lane[5])) +
+         ((lane[2] + lane[6]) + (lane[3] + lane[7]));
+}
+
+// gamma[t] = alpha + e[t] * acc[t]; returns the mean absolute change.
+double UpdateGamma(double alpha, const double* e, const double* acc, size_t k,
+                   double* gamma) {
+  double change = 0.0;
+  for (size_t t = 0; t < k; ++t) {
+    const double next = alpha + e[t] * acc[t];
+    change += std::abs(next - gamma[t]);
+    gamma[t] = next;
+  }
+  return change / static_cast<double>(k);
+}
+
 }  // namespace
 
 LdaModel LdaModel::Train(const std::vector<std::vector<std::string>>& documents,
@@ -84,6 +99,9 @@ LdaModel LdaModel::Train(const std::vector<std::vector<std::string>>& documents,
   const size_t v = vocab.size();
   const int k = options.num_topics;
   if (v == 0) throw std::invalid_argument("LdaModel::Train: empty vocabulary");
+  if (!(options.alpha > 0.0) || !std::isfinite(options.alpha)) {
+    throw std::invalid_argument("LdaModel::Train: alpha must be positive");
+  }
 
   std::vector<std::vector<TokenId>> docs;
   docs.reserve(documents.size());
@@ -166,120 +184,92 @@ void LdaModel::BuildPhiTranspose() {
 }
 
 std::vector<double> LdaModel::InferTopics(
-    const std::vector<std::string>& document, util::Rng* rng) const {
+    const std::vector<std::string>& document) const {
   LdaScratch scratch;
   scratch.ids = Encode(vocab_, document, options_.max_doc_tokens);
   std::vector<double> theta;
-  InferTopicsInto(rng, &scratch, &theta);
+  InferTopicsInto(&scratch, &theta);
   return theta;
 }
 
-void LdaModel::InferTopicsInto(util::Rng* rng, LdaScratch* scratch,
+void LdaModel::InferTopicsInto(LdaScratch* scratch,
                                std::vector<double>* theta) const {
-  const int k = options_.num_topics;
-  const size_t ku = static_cast<size_t>(k);
-  theta->assign(ku, 1.0 / static_cast<double>(k));
-  const std::vector<TokenId>& ids = scratch->ids;
+  const size_t k = static_cast<size_t>(options_.num_topics);
+  theta->assign(k, 1.0 / static_cast<double>(k));
+  std::vector<TokenId>& ids = scratch->ids;
   if (ids.empty()) return;
+  const double n_tokens = static_cast<double>(ids.size());
 
-  // Fold-in Gibbs; identical draw order and weights to
-  // ReferenceInferTopics, so results are bit-for-bit the same. Each
-  // token's phi column is read contiguously from the [V x K] transpose
-  // (same doubles as phi_, different layout). The sampling step is fused:
-  // one pass builds the cumulative weights cum[t] = p[0] + ... + p[t] with
-  // exactly the additions Rng::Categorical performs (its total pass and
-  // its walk accumulate the same p[t] in the same order), one Uniform()
-  // draw lands at the same stream position, and the search finds the first
-  // t with u <= cum[t] -- the index the reference's early-exit walk
-  // returns. On AVX2 hosts SampleTopicAvx2 runs the same step with
-  // vectorised products and search but the identical serial prefix chain.
-  scratch->z.resize(ids.size());
-  scratch->n_dk.assign(ku, 0.0);
-  double* n_dk = scratch->n_dk.data();
+  // Collapse the document into sorted unique ids with counts, in place.
+  std::sort(ids.begin(), ids.end());
+  std::vector<double>& counts = scratch->counts;
+  counts.clear();
+  size_t unique = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
-    int t = static_cast<int>(rng->UniformInt(0, k - 1));
-    scratch->z[i] = t;
-    n_dk[static_cast<size_t>(t)] += 1.0;
-  }
-  scratch->p.resize(ku);
-  double* cum = scratch->p.data();
-  const double alpha = options_.alpha;
-#if defined(SATO_LDA_HAS_AVX2)
-  const bool use_avx2 = k % 4 == 0 && util::CpuHasAvx2() &&
-                        !util::CpuDispatchDisabledByEnv();
-#else
-  const bool use_avx2 = false;
-#endif
-  for (int iter = 0; iter < options_.infer_iterations; ++iter) {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      int old_topic = scratch->z[i];
-      n_dk[static_cast<size_t>(old_topic)] -= 1.0;
-      const double* col = PhiCol(ids[i]);
-      int new_topic = 0;
-      if (use_avx2) {
-#if defined(SATO_LDA_HAS_AVX2)
-        new_topic = SampleTopicAvx2(col, n_dk, cum, k, alpha, rng);
-#endif
-      } else {
-        double acc = 0.0;
-        for (size_t t = 0; t < ku; ++t) {
-          acc += (n_dk[t] + alpha) * col[t];
-          cum[t] = acc;
-        }
-        double u = rng->Uniform() * acc;
-        const double* hit = std::lower_bound(cum, cum + ku, u);
-        new_topic = hit == cum + ku ? k - 1 : static_cast<int>(hit - cum);
-      }
-      scratch->z[i] = new_topic;
-      n_dk[static_cast<size_t>(new_topic)] += 1.0;
+    if (i > 0 && ids[i] == ids[unique - 1]) {
+      counts.back() += 1.0;
+    } else {
+      ids[unique++] = ids[i];
+      counts.push_back(1.0);
     }
   }
-  double denom = static_cast<double>(ids.size()) +
-                 static_cast<double>(k) * alpha;
-  for (size_t t = 0; t < ku; ++t) {
-    (*theta)[t] = (n_dk[t] + alpha) / denom;
+  ids.resize(unique);
+
+  // E-step against the frozen phi, one contiguous phi column per unique
+  // word: gamma = alpha + e * sum_w count_w * phi_w / (e . phi_w).
+  const double alpha = options_.alpha;
+  scratch->gamma.assign(k, alpha + n_tokens / static_cast<double>(k));
+  scratch->e.resize(k);
+  scratch->acc.resize(k);
+  double* gamma = scratch->gamma.data();
+  double* e = scratch->e.data();
+  double* acc = scratch->acc.data();
+  for (int iter = 0; iter < options_.infer_iterations; ++iter) {
+    ExpDigamma(gamma, k, e);
+    std::fill(acc, acc + k, 0.0);
+    for (size_t u = 0; u < unique; ++u) {
+      const double* col = PhiCol(ids[u]);
+      const double scale = counts[u] / (Dot8(e, col, k) + kNormEpsilon);
+      for (size_t t = 0; t < k; ++t) acc[t] += scale * col[t];
+    }
+    if (UpdateGamma(alpha, e, acc, k, gamma) < kGammaThreshold) break;
   }
+  double total = 0.0;
+  for (size_t t = 0; t < k; ++t) total += gamma[t];
+  for (size_t t = 0; t < k; ++t) (*theta)[t] = gamma[t] / total;
 }
 
 std::vector<double> LdaModel::ReferenceInferTopics(
-    const std::vector<std::string>& document, util::Rng* rng) const {
-  const int k = options_.num_topics;
+    const std::vector<std::string>& document) const {
+  const size_t k = static_cast<size_t>(options_.num_topics);
   const size_t v = vocab_.size();
-  std::vector<double> theta(static_cast<size_t>(k),
-                            1.0 / static_cast<double>(k));
+  std::vector<double> theta(k, 1.0 / static_cast<double>(k));
   std::vector<TokenId> ids = Encode(vocab_, document, options_.max_doc_tokens);
   if (ids.empty()) return theta;
 
-  std::vector<int> z(ids.size());
-  std::vector<int> n_dk(static_cast<size_t>(k), 0);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    int t = static_cast<int>(rng->UniformInt(0, k - 1));
-    z[i] = t;
-    ++n_dk[static_cast<size_t>(t)];
-  }
-  std::vector<double> p(static_cast<size_t>(k));
   const double alpha = options_.alpha;
+  std::vector<double> gamma(
+      k, alpha + static_cast<double>(ids.size()) / static_cast<double>(k));
+  std::vector<double> e(k);
+  std::vector<double> acc(k);
   for (int iter = 0; iter < options_.infer_iterations; ++iter) {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      int old_topic = z[i];
-      --n_dk[static_cast<size_t>(old_topic)];
-      size_t w = static_cast<size_t>(ids[i]);
-      for (int t = 0; t < k; ++t) {
-        p[static_cast<size_t>(t)] =
-            (static_cast<double>(n_dk[static_cast<size_t>(t)]) + alpha) *
-            phi_[static_cast<size_t>(t) * v + w];
-      }
-      int new_topic = static_cast<int>(rng->Categorical(p));
-      z[i] = new_topic;
-      ++n_dk[static_cast<size_t>(new_topic)];
+    ExpDigamma(gamma.data(), k, e.data());
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (TokenId id : ids) {
+      const size_t w = static_cast<size_t>(id);
+      double norm = 0.0;
+      for (size_t t = 0; t < k; ++t) norm += e[t] * phi_[t * v + w];
+      norm += kNormEpsilon;
+      for (size_t t = 0; t < k; ++t) acc[t] += phi_[t * v + w] / norm;
+    }
+    if (UpdateGamma(alpha, e.data(), acc.data(), k, gamma.data()) <
+        kGammaThreshold) {
+      break;
     }
   }
-  double denom = static_cast<double>(ids.size()) +
-                 static_cast<double>(k) * alpha;
-  for (int t = 0; t < k; ++t) {
-    theta[static_cast<size_t>(t)] =
-        (static_cast<double>(n_dk[static_cast<size_t>(t)]) + alpha) / denom;
-  }
+  double total = 0.0;
+  for (double g : gamma) total += g;
+  for (size_t t = 0; t < k; ++t) theta[t] = gamma[t] / total;
   return theta;
 }
 
@@ -326,6 +316,8 @@ LdaModel LdaModel::Load(std::istream* in) {
   in->read(reinterpret_cast<char*>(&v), sizeof(v));
   in->read(reinterpret_cast<char*>(&model.options_), sizeof(model.options_));
   if (!*in) throw std::runtime_error("LdaModel::Load: truncated stream");
+  std::vector<std::string> tokens;
+  int64_t total = 0;  // bounds every count sum below INT64_MAX
   for (uint64_t i = 0; i < v; ++i) {
     uint64_t len = 0;
     in->read(reinterpret_cast<char*>(&len), sizeof(len));
@@ -334,11 +326,30 @@ LdaModel LdaModel::Load(std::istream* in) {
     int64_t freq = 0;
     in->read(reinterpret_cast<char*>(&freq), sizeof(freq));
     if (!*in) throw std::runtime_error("LdaModel::Load: truncated stream");
-    for (int64_t c = 0; c < freq; ++c) model.vocab_.Count(t);
+    if (freq < 1 || freq > std::numeric_limits<int64_t>::max() - total) {
+      throw std::runtime_error("LdaModel::Load: invalid word frequency");
+    }
+    total += freq;
+    model.vocab_.Count(t, freq);
+    tokens.push_back(std::move(t));
   }
+  // Finalize re-derives the ids from the frequencies; a corrupt frequency
+  // or a repeated token would shift them off the columns of phi.
   model.vocab_.Finalize(1);
   if (model.vocab_.size() != v) {
     throw std::runtime_error("LdaModel::Load: vocabulary mismatch");
+  }
+  for (uint64_t i = 0; i < v; ++i) {
+    if (model.vocab_.Token(static_cast<TokenId>(i)) != tokens[i]) {
+      throw std::runtime_error("LdaModel::Load: vocabulary mismatch");
+    }
+  }
+  if (static_cast<uint64_t>(model.options_.num_topics) != k) {
+    throw std::runtime_error("LdaModel::Load: topic count mismatch");
+  }
+  // The fold-in's digamma needs gamma > 0, which alpha > 0 guarantees.
+  if (!(model.options_.alpha > 0.0) || !std::isfinite(model.options_.alpha)) {
+    throw std::runtime_error("LdaModel::Load: alpha must be positive");
   }
   model.phi_.assign(k * v, 0.0);
   in->read(reinterpret_cast<char*>(model.phi_.data()),

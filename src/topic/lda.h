@@ -19,13 +19,14 @@ struct LdaOptions {
   double alpha = 0.1;          ///< document-topic prior
   double beta = 0.01;          ///< topic-word prior
   int train_iterations = 120;  ///< collapsed Gibbs sweeps
-  /// Fold-in sweeps for unseen documents. Fold-in samples against a
-  /// frozen phi, so it converges much faster than training: on the
-  /// miniature end-to-end pipeline, trained-model macro-F1 at 8 sweeps is
-  /// indistinguishable from 24 (deltas within the +/-0.009 draw-to-draw
-  /// noise measured by shifting the sweep count by one), while serving
-  /// featurization cost is dominated by sweeps x tokens sampling steps.
-  int infer_iterations = 8;
+  /// Iteration cap of the variational fold-in for unseen documents
+  /// (gensim's `iterations`). The E-step usually stops earlier, once the
+  /// mean absolute change of gamma drops below 1e-3 (gensim's
+  /// `gamma_threshold`); on 64-256-row synthetic tables at K = 32 it
+  /// averages about 20 iterations and about 12% of tables reach the cap.
+  /// Bundles store this field, so a model keeps the cap it was trained
+  /// with.
+  int infer_iterations = 50;
   int64_t min_count = 2;       ///< vocabulary cutoff
   size_t max_doc_tokens = 512; ///< truncate very large documents
 };
@@ -34,35 +35,37 @@ struct LdaOptions {
 /// One per worker; every buffer is recycled across calls, so steady-state
 /// inference allocates nothing (growth is observable via CapacityBytes).
 struct LdaScratch {
-  std::vector<embedding::TokenId> ids;  ///< encoded document (caller fills)
-  std::vector<int> z;                   ///< per-token topic assignment
-  std::vector<double> n_dk;             ///< document-topic counts (integral
-                                        ///< values, stored as double so the
-                                        ///< sampling loop skips conversions)
-  std::vector<double> p;                ///< cumulative sampling weights (K)
+  std::vector<embedding::TokenId> ids;  ///< encoded document (caller fills);
+                                        ///< the fold-in collapses it in place
+                                        ///< into its sorted unique ids
+  std::vector<double> counts;           ///< occurrences of each unique id
+  std::vector<double> gamma;            ///< variational Dirichlet (K)
+  std::vector<double> e;                ///< exp(digamma(gamma)) (K)
+  std::vector<double> acc;              ///< per-iteration sufficient stats (K)
 
   /// Total heap capacity currently held (for zero-allocation assertions).
   size_t CapacityBytes() const {
     return ids.capacity() * sizeof(embedding::TokenId) +
-           z.capacity() * sizeof(int) + n_dk.capacity() * sizeof(double) +
-           p.capacity() * sizeof(double);
+           (counts.capacity() + gamma.capacity() + e.capacity() +
+            acc.capacity()) *
+               sizeof(double);
   }
 };
 
 /// LDA trained with collapsed Gibbs sampling; inference for unseen
-/// documents uses fold-in Gibbs against the frozen topic-word distribution.
-/// This is Sato's "table intent estimator" (§3.2): tables are documents,
-/// the inferred topic mixture is the table topic vector.
+/// documents is the variational E-step gensim runs (Blei, Ng & Jordan
+/// 2003; Hoffman, Blei & Bach 2010) against the frozen topic-word
+/// distribution. This is Sato's "table intent estimator" (§3.2): tables
+/// are documents, the inferred topic mixture is the table topic vector.
 ///
 /// The topic-word distribution is stored as one flat row-major [K x V]
 /// array (phi()), plus a [V x K] transpose maintained alongside it so the
 /// serving fold-in reads each word's phi column as one contiguous
-/// K-vector instead of striding across the whole table per token. On AVX2
-/// hosts the sampling step also vectorises the weight products and the
-/// cumulative-weight search (the prefix chain itself stays serial, so the
-/// float sums are unchanged). Draw order and weights are identical to
-/// ReferenceInferTopics, so predictions are unchanged bit for bit;
-/// SATO_DISABLE_CPU_DISPATCH=1 pins the scalar step.
+/// K-vector. Inference is deterministic: theta is a pure function of the
+/// document and the model. The E-step has one scalar code path, with no
+/// CPU dispatch and no FP contraction under -std=c++20, so its own
+/// arithmetic rounds the same on every host; exp and log come from the C
+/// math library.
 class LdaModel {
  public:
   /// Trains a model on tokenised documents.
@@ -71,22 +74,25 @@ class LdaModel {
 
   /// Infers the topic mixture theta (length num_topics, sums to 1) for an
   /// unseen document. Documents with no in-vocabulary token get the uniform
-  /// mixture. Routes through the flat-phi fast path with transient scratch.
-  std::vector<double> InferTopics(const std::vector<std::string>& document,
-                                  util::Rng* rng) const;
+  /// mixture. Routes through the fast path with transient scratch.
+  std::vector<double> InferTopics(
+      const std::vector<std::string>& document) const;
 
-  /// The original ragged-phi fold-in, preserved verbatim as the parity
-  /// baseline (same pattern as nn::gemm's Reference* kernels).
+  /// The naive E-step: one update per token in document order over phi()
+  /// rows, with serial sums. The parity baseline of the fast path (same
+  /// pattern as nn::gemm's Reference* kernels); the two agree to rounding,
+  /// not bit for bit (see InferTopicsInto).
   std::vector<double> ReferenceInferTopics(
-      const std::vector<std::string>& document, util::Rng* rng) const;
+      const std::vector<std::string>& document) const;
 
   /// Fold-in fast path over an already-encoded document: `scratch->ids`
-  /// must hold the in-vocabulary token ids in document order, truncated to
-  /// options().max_doc_tokens (see TokenCache::CollectLdaIds). Writes
-  /// theta into `*theta` (resized to num_topics). Draws from `rng` in the
-  /// exact order of ReferenceInferTopics.
-  void InferTopicsInto(util::Rng* rng, LdaScratch* scratch,
-                       std::vector<double>* theta) const;
+  /// must hold the in-vocabulary token ids, truncated to
+  /// options().max_doc_tokens (see TokenCache::CollectLdaIds); their order
+  /// does not matter, and the call leaves them sorted and deduplicated.
+  /// Writes theta into `*theta` (resized to num_topics). The E-step runs
+  /// over unique ids with counts, so its sums round differently from
+  /// ReferenceInferTopics.
+  void InferTopicsInto(LdaScratch* scratch, std::vector<double>* theta) const;
 
   int num_topics() const { return options_.num_topics; }
   const embedding::Vocabulary& vocab() const { return vocab_; }

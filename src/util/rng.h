@@ -10,7 +10,8 @@ namespace sato::util {
 
 /// Deterministic pseudo-random number generator used by every stochastic
 /// component in the library (corpus generation, weight initialisation,
-/// dropout, Gibbs sampling, shuffling, ...).
+/// dropout, Gibbs training of the LDA, shuffling, ...). Inference draws
+/// nothing: the LDA fold-in is a deterministic E-step.
 ///
 /// All call sites take an explicit `Rng&` so experiments are reproducible
 /// from a single seed. The engine is std::mt19937_64, which is portable and

@@ -1,6 +1,8 @@
 // Unit tests for sato::embedding: vocabulary, tokenisation, TF-IDF, SGNS
 // training, and the word-embedding table.
 
+#include <chrono>
+#include <cstring>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -27,6 +29,24 @@ TEST(VocabularyTest, AssignsIdsByDescendingFrequency) {
   EXPECT_EQ(*v.Id("rare"), 1);
   EXPECT_EQ(*v.Id("once"), 2);
   EXPECT_EQ(v.Frequency(0), 5);
+}
+
+TEST(VocabularyTest, BulkCountEqualsRepeatedCount) {
+  Vocabulary bulk, single;
+  bulk.Count("common", 5);
+  bulk.Count("rare", 1);
+  bulk.Count("rare", 1);
+  for (int i = 0; i < 5; ++i) single.Count("common");
+  single.Count("rare");
+  single.Count("rare");
+  bulk.Finalize(1);
+  single.Finalize(1);
+  ASSERT_EQ(bulk.size(), single.size());
+  for (TokenId id = 0; id < static_cast<TokenId>(bulk.size()); ++id) {
+    EXPECT_EQ(bulk.Token(id), single.Token(id));
+    EXPECT_EQ(bulk.Frequency(id), single.Frequency(id));
+  }
+  EXPECT_EQ(bulk.TotalCount(), 7);
 }
 
 TEST(VocabularyTest, MinCountFiltersRareTokens) {
@@ -239,6 +259,70 @@ TEST(WordEmbeddingsTest, SaveLoadRoundTrip) {
   EXPECT_EQ(back.dim(), emb.dim());
   EXPECT_EQ(back.Lookup("alpha"), emb.Lookup("alpha"));
   EXPECT_EQ(back.Lookup("beta"), emb.Lookup("beta"));
+}
+
+// Overwrites the saved frequency of vocabulary entry `entry` in a
+// WordEmbeddings::Save stream (u64 count, then per entry u64 length, the
+// token bytes and an i64 frequency).
+std::string PatchFrequency(std::string bytes, size_t entry, int64_t freq) {
+  size_t pos = sizeof(uint64_t);
+  for (size_t i = 0;; ++i) {
+    uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + pos, sizeof(len));
+    pos += sizeof(len) + len;
+    if (i == entry) break;
+    pos += sizeof(int64_t);
+  }
+  std::memcpy(bytes.data() + pos, &freq, sizeof(freq));
+  return bytes;
+}
+
+double LoadSeconds(const std::string& bytes, bool* threw) {
+  auto start = std::chrono::steady_clock::now();
+  std::stringstream ss(bytes);
+  *threw = false;
+  try {
+    WordEmbeddings::Load(&ss);
+  } catch (const std::runtime_error&) {
+    *threw = true;
+  }
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(WordEmbeddingsTest, HugeSavedFrequencyLoadsOrThrowsQuickly) {
+  std::stringstream ss;
+  TinyEmbeddings().Save(&ss);
+  const int64_t huge = int64_t{1} << 40;
+  bool threw = false;
+  // "alpha" is already the most frequent entry: ids keep their order and
+  // the load succeeds without replaying 2^40 counts.
+  std::string keeps_order = PatchFrequency(ss.str(), 0, huge);
+  EXPECT_LT(LoadSeconds(keeps_order, &threw), 1.0);
+  EXPECT_FALSE(threw);
+  std::stringstream in(keeps_order);
+  WordEmbeddings back = WordEmbeddings::Load(&in);
+  EXPECT_EQ(back.Lookup("alpha"), (std::vector<double>{1.0, 0.0}));
+  EXPECT_EQ(back.Lookup("beta"), (std::vector<double>{0.0, 1.0}));
+  // Lifting "beta" above "alpha" would swap their ids against the matrix
+  // rows, so the load refuses it.
+  EXPECT_LT(LoadSeconds(PatchFrequency(ss.str(), 1, huge), &threw), 1.0);
+  EXPECT_TRUE(threw);
+}
+
+TEST(WordEmbeddingsTest, InvalidSavedFrequencyThrows) {
+  std::stringstream ss;
+  TinyEmbeddings().Save(&ss);
+  for (int64_t freq : {int64_t{0}, int64_t{-3}}) {
+    std::stringstream in(PatchFrequency(ss.str(), 1, freq));
+    EXPECT_THROW(WordEmbeddings::Load(&in), std::runtime_error) << freq;
+  }
+  // Two frequencies of 2^62 would overflow the int64 count total.
+  const int64_t half = int64_t{1} << 62;
+  std::stringstream in(PatchFrequency(PatchFrequency(ss.str(), 0, half), 1,
+                                      half));
+  EXPECT_THROW(WordEmbeddings::Load(&in), std::runtime_error);
 }
 
 TEST(WordEmbeddingsTest, MismatchedShapesRejected) {

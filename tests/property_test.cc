@@ -290,7 +290,7 @@ TEST_P(LdaInvariantTest, DistributionsNormalisedForAnySeed) {
     }
     EXPECT_NEAR(sum, 1.0, 1e-9);
   }
-  auto theta = lda.InferTopics(docs[0], &rng);
+  auto theta = lda.InferTopics(docs[0]);
   double sum = 0.0;
   for (double p : theta) sum += p;
   EXPECT_NEAR(sum, 1.0, 1e-9);

@@ -1,7 +1,11 @@
 // Tests for the LDA table-intent estimator: Gibbs training invariants,
-// topic recovery on separable corpora, fold-in inference, analysis helpers.
+// topic recovery on separable corpora, variational fold-in inference,
+// analysis helpers.
 
+#include <chrono>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -54,7 +58,7 @@ TEST(LdaTest, PhiRowsAreDistributions) {
 TEST(LdaTest, InferredThetaIsDistribution) {
   util::Rng rng(2);
   LdaModel lda = LdaModel::Train(TwoThemeCorpus(30), SmallLda(4), &rng);
-  auto theta = lda.InferTopics({"goal", "match", "league"}, &rng);
+  auto theta = lda.InferTopics({"goal", "match", "league"});
   ASSERT_EQ(theta.size(), 4u);
   double sum = 0.0;
   for (double p : theta) {
@@ -67,8 +71,8 @@ TEST(LdaTest, InferredThetaIsDistribution) {
 TEST(LdaTest, SeparatesTwoThemes) {
   util::Rng rng(3);
   LdaModel lda = LdaModel::Train(TwoThemeCorpus(50), SmallLda(2), &rng);
-  auto sports = lda.InferTopics({"goal", "match", "striker", "league"}, &rng);
-  auto politics = lda.InferTopics({"vote", "senate", "ballot", "election"}, &rng);
+  auto sports = lda.InferTopics({"goal", "match", "striker", "league"});
+  auto politics = lda.InferTopics({"vote", "senate", "ballot", "election"});
   // The argmax topics must differ.
   size_t s_top = sports[0] > sports[1] ? 0 : 1;
   size_t p_top = politics[0] > politics[1] ? 0 : 1;
@@ -80,7 +84,7 @@ TEST(LdaTest, SeparatesTwoThemes) {
 TEST(LdaTest, UnknownTokensGiveUniformMixture) {
   util::Rng rng(4);
   LdaModel lda = LdaModel::Train(TwoThemeCorpus(20), SmallLda(4), &rng);
-  auto theta = lda.InferTopics({"zzz", "qqq"}, &rng);
+  auto theta = lda.InferTopics({"zzz", "qqq"});
   for (double p : theta) EXPECT_NEAR(p, 0.25, 1e-12);
 }
 
@@ -115,10 +119,107 @@ TEST(LdaTest, SaveLoadRoundTrip) {
   EXPECT_EQ(back.num_topics(), lda.num_topics());
   EXPECT_EQ(back.vocab().size(), lda.vocab().size());
   EXPECT_EQ(back.phi(), lda.phi());
-  // Inference streams must agree for the same seed.
-  util::Rng r1(9), r2(9);
-  EXPECT_EQ(lda.InferTopics({"goal", "match"}, &r1),
-            back.InferTopics({"goal", "match"}, &r2));
+  // The fold-in is a pure function of (document, model).
+  EXPECT_EQ(lda.InferTopics({"goal", "match"}),
+            back.InferTopics({"goal", "match"}));
+}
+
+// Overwrites the saved frequency of vocabulary entry `entry` in an
+// LdaModel::Save stream (u64 K, u64 V, the raw options, then per entry u64
+// length, the token bytes and an i64 frequency).
+std::string PatchFrequency(std::string bytes, size_t entry, int64_t freq) {
+  size_t pos = 2 * sizeof(uint64_t) + sizeof(LdaOptions);
+  for (size_t i = 0;; ++i) {
+    uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + pos, sizeof(len));
+    pos += sizeof(len) + len;
+    if (i == entry) break;
+    pos += sizeof(int64_t);
+  }
+  std::memcpy(bytes.data() + pos, &freq, sizeof(freq));
+  return bytes;
+}
+
+TEST(LdaTest, HugeSavedFrequencyLoadsOrThrowsQuickly) {
+  util::Rng rng(10);
+  LdaModel lda = LdaModel::Train(TwoThemeCorpus(20), SmallLda(3), &rng);
+  std::stringstream ss;
+  lda.Save(&ss);
+  const int64_t huge = int64_t{1} << 40;
+  const size_t last = lda.vocab().size() - 1;
+  for (size_t entry : {size_t{0}, last}) {
+    std::stringstream in(PatchFrequency(ss.str(), entry, huge));
+    auto start = std::chrono::steady_clock::now();
+    try {
+      // Entry 0 keeps its id and loads; lifting the last entry to the top
+      // would shift every id off its phi column, so that load throws.
+      LdaModel back = LdaModel::Load(&in);
+      EXPECT_EQ(entry, 0u);
+      EXPECT_EQ(back.phi(), lda.phi());
+      EXPECT_EQ(back.vocab().Token(0), lda.vocab().Token(0));
+    } catch (const std::runtime_error&) {
+      EXPECT_EQ(entry, last);
+    }
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count(),
+              1.0)
+        << "entry " << entry;
+  }
+}
+
+TEST(LdaTest, InvalidSavedFrequencyThrows) {
+  util::Rng rng(11);
+  LdaModel lda = LdaModel::Train(TwoThemeCorpus(20), SmallLda(3), &rng);
+  std::stringstream ss;
+  lda.Save(&ss);
+  for (int64_t freq : {int64_t{0}, int64_t{-1}}) {
+    std::stringstream in(PatchFrequency(ss.str(), 1, freq));
+    EXPECT_THROW(LdaModel::Load(&in), std::runtime_error) << freq;
+  }
+  // Two frequencies of 2^62 would overflow the int64 count total.
+  const int64_t half = int64_t{1} << 62;
+  std::stringstream in(PatchFrequency(PatchFrequency(ss.str(), 0, half), 1,
+                                      half));
+  EXPECT_THROW(LdaModel::Load(&in), std::runtime_error);
+}
+
+TEST(LdaTest, SavedOptionsTopicCountMustMatchPhi) {
+  util::Rng rng(12);
+  LdaModel lda = LdaModel::Train(TwoThemeCorpus(20), SmallLda(3), &rng);
+  std::stringstream ss;
+  lda.Save(&ss);
+  // phi holds K = 3 rows; options claiming 4 would make the fold-in read
+  // past the end of every phi column.
+  std::string bytes = ss.str();
+  const int claimed = 4;
+  std::memcpy(bytes.data() + 2 * sizeof(uint64_t) +
+                  offsetof(LdaOptions, num_topics),
+              &claimed, sizeof(claimed));
+  std::stringstream in(bytes);
+  EXPECT_THROW(LdaModel::Load(&in), std::runtime_error);
+}
+
+TEST(LdaTest, NonPositiveAlphaIsRejected) {
+  util::Rng rng(13);
+  LdaOptions opts = SmallLda(3);
+  opts.alpha = 0.0;
+  EXPECT_THROW(LdaModel::Train(TwoThemeCorpus(5), opts, &rng),
+               std::invalid_argument);
+
+  LdaModel lda = LdaModel::Train(TwoThemeCorpus(20), SmallLda(3), &rng);
+  std::stringstream ss;
+  lda.Save(&ss);
+  // A saved alpha of -1e300 would start gamma where x + 1 == x, and the
+  // digamma recurrence would never reach its asymptotic range.
+  for (double alpha : {-1e300, 0.0, std::nan("")}) {
+    std::string bytes = ss.str();
+    std::memcpy(bytes.data() + 2 * sizeof(uint64_t) +
+                    offsetof(LdaOptions, alpha),
+                &alpha, sizeof(alpha));
+    std::stringstream in(bytes);
+    EXPECT_THROW(LdaModel::Load(&in), std::runtime_error) << alpha;
+  }
 }
 
 TEST(LdaTest, MaxDocTokensTruncates) {
@@ -128,7 +229,7 @@ TEST(LdaTest, MaxDocTokensTruncates) {
   LdaModel lda = LdaModel::Train(TwoThemeCorpus(20), opts, &rng);
   // Inference still works on a long document.
   std::vector<std::string> longdoc(1000, "goal");
-  auto theta = lda.InferTopics(longdoc, &rng);
+  auto theta = lda.InferTopics(longdoc);
   double sum = 0.0;
   for (double p : theta) sum += p;
   EXPECT_NEAR(sum, 1.0, 1e-9);
@@ -136,7 +237,24 @@ TEST(LdaTest, MaxDocTokensTruncates) {
 
 // ------------------------------------------- flat-phi fold-in fast path ----
 
-TEST(LdaFastPathTest, InferTopicsMatchesReferenceExactly) {
+// The fast path and ReferenceInferTopics run the same E-step but not the
+// same float sums: the fast path folds each unique id in once with its
+// count and an 8-lane dot product, the reference adds token by token. Their
+// gammas therefore differ in the last bits, and a document whose mean
+// gamma change lands on the 1e-3 stopping threshold can stop one iteration
+// earlier or later on one side, which moves theta by up to about
+// 1e-3 / sum(gamma). Parity is a tolerance, not bitwise equality.
+constexpr double kFoldInParityTolerance = 1e-4;
+
+void ExpectThetaNear(const std::vector<double>& a, const std::vector<double>& b,
+                     const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t t = 0; t < a.size(); ++t) {
+    EXPECT_NEAR(a[t], b[t], kFoldInParityTolerance) << what << " topic " << t;
+  }
+}
+
+TEST(LdaFastPathTest, InferTopicsMatchesReferenceWithinTolerance) {
   util::Rng rng(17);
   LdaModel lda = LdaModel::Train(TwoThemeCorpus(30), SmallLda(4), &rng);
   std::vector<std::vector<std::string>> docs = {
@@ -145,11 +263,9 @@ TEST(LdaFastPathTest, InferTopicsMatchesReferenceExactly) {
       {"zzz", "qqq"},  // all OOV -> uniform
       {},
   };
-  for (const auto& doc : docs) {
-    util::Rng r1(99), r2(99);
-    // Identical draw order and weights: bit-for-bit equality, not just
-    // closeness.
-    EXPECT_EQ(lda.InferTopics(doc, &r1), lda.ReferenceInferTopics(doc, &r2));
+  for (size_t d = 0; d < docs.size(); ++d) {
+    ExpectThetaNear(lda.InferTopics(docs[d]), lda.ReferenceInferTopics(docs[d]),
+                    "doc " + std::to_string(d));
   }
 }
 
@@ -173,11 +289,40 @@ TEST(LdaFastPathTest, CacheDrivenFoldInMatchesReferenceOnTables) {
     cache.Build(t, nullptr, nullptr, &lda.vocab());
     scratch.ids.clear();
     cache.CollectLdaIds(lda.options().max_doc_tokens, &scratch.ids);
-    util::Rng r1(101), r2(101);
-    lda.InferTopicsInto(&r1, &scratch, &theta);
-    EXPECT_EQ(theta, lda.ReferenceInferTopics(TableToDocument(t), &r2))
-        << t.id();
+    lda.InferTopicsInto(&scratch, &theta);
+    ExpectThetaNear(theta, lda.ReferenceInferTopics(TableToDocument(t)),
+                    t.id());
   }
+}
+
+TEST(LdaFastPathTest, ThetaIsInvariantUnderTokenPermutation) {
+  util::Rng rng(41);
+  LdaModel lda = LdaModel::Train(TwoThemeCorpus(30), SmallLda(4), &rng);
+  std::vector<std::string> doc = {"goal",  "vote",   "match", "goal",
+                                  "zzz",   "senate", "goal",  "league",
+                                  "ballot", "match"};
+  const std::vector<double> expected = lda.InferTopics(doc);
+  util::Rng shuffle_rng(43);
+  for (int trial = 0; trial < 10; ++trial) {
+    shuffle_rng.Shuffle(&doc);
+    // Bitwise: the fast path sorts the ids before it sums anything.
+    EXPECT_EQ(lda.InferTopics(doc), expected) << "trial " << trial;
+  }
+}
+
+TEST(LdaFastPathTest, EmptyOrAllOovDocumentGivesUniformMixture) {
+  util::Rng rng(47);
+  LdaModel lda = LdaModel::Train(TwoThemeCorpus(20), SmallLda(4), &rng);
+  const std::vector<double> uniform(4, 0.25);
+  for (const std::vector<std::string>& doc :
+       {std::vector<std::string>{}, std::vector<std::string>{"zzz", "qqq"}}) {
+    EXPECT_EQ(lda.InferTopics(doc), uniform);
+    EXPECT_EQ(lda.ReferenceInferTopics(doc), uniform);
+  }
+  LdaScratch scratch;  // the fast path proper, on an empty id list
+  std::vector<double> theta;
+  lda.InferTopicsInto(&scratch, &theta);
+  EXPECT_EQ(theta, uniform);
 }
 
 TEST(LdaFastPathTest, SteadyStateFoldInDoesNotGrowScratch) {
@@ -197,8 +342,7 @@ TEST(LdaFastPathTest, SteadyStateFoldInDoesNotGrowScratch) {
       cache.Build(t, nullptr, nullptr, &lda.vocab());
       scratch.ids.clear();
       cache.CollectLdaIds(lda.options().max_doc_tokens, &scratch.ids);
-      util::Rng r(7);
-      lda.InferTopicsInto(&r, &scratch, &theta);
+      lda.InferTopicsInto(&scratch, &theta);
     }
   };
   run_pass();  // warm-up
@@ -260,7 +404,7 @@ TEST(TopicAnalysisTest, SalientTopicsHaveInterpretableShape) {
   LdaModel lda = LdaModel::Train(TablesToDocuments(tables), lda_opts, &rng);
 
   TopicAnalysis analysis(&lda);
-  analysis.Fit(tables, &rng);
+  analysis.Fit(tables);
   auto salient = analysis.SalientTopics(5, 5);
   ASSERT_EQ(salient.size(), 5u);
   for (size_t i = 1; i < salient.size(); ++i) {
@@ -287,7 +431,7 @@ TEST(TopicAnalysisTest, TypeTopicRowsAreDistributions) {
   LdaModel lda =
       LdaModel::Train(TablesToDocuments(tables), SmallLda(6), &rng);
   TopicAnalysis analysis(&lda);
-  analysis.Fit(tables, &rng);
+  analysis.Fit(tables);
   // Types present in the corpus must have a normalised distribution.
   const auto& row = analysis.TypeTopicDistribution(TypeIdOrDie("name"));
   double sum = 0.0;
