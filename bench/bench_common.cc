@@ -1,6 +1,7 @@
 #include "bench/bench_common.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -107,6 +108,21 @@ SatoModel TrainVariant(SatoVariant variant, const BenchEnv& env,
   Trainer::TrainStats s = trainer.Train(&model, train, &rng);
   if (stats != nullptr) *stats = s;
   return model;
+}
+
+Spread SummarizeTrials(std::vector<double> values) {
+  Spread s;
+  if (values.empty()) return s;
+  std::sort(values.begin(), values.end());
+  auto rank = [&](double q) {
+    size_t r = static_cast<size_t>(
+        std::ceil(q * static_cast<double>(values.size())));
+    return values[std::max<size_t>(r, 1) - 1];
+  };
+  s.q1 = rank(0.25);
+  s.median = rank(0.5);
+  s.q3 = rank(0.75);
+  return s;
 }
 
 std::string FormatWithCi(const std::vector<double>& values) {

@@ -74,6 +74,17 @@ struct Split {
 };
 Split MakeSplit(const Dataset& data, const eval::FoldIndices& fold);
 
+/// Median and quartiles of repeated timing trials (nearest rank). A
+/// committed timing reports the median with q3 - q1 as its spread, so a
+/// change inside that spread reads as noise.
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+  double iqr() const { return q3 - q1; }
+};
+Spread SummarizeTrials(std::vector<double> values);
+
 /// Formats "0.735 ±0.022" -- the Table 1 cell format.
 std::string FormatWithCi(const std::vector<double>& values);
 

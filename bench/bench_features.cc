@@ -4,8 +4,9 @@
 // SATO_BENCH_SCALE.
 //
 // Reports per-group extractor ns/column, LDA fold-in ns/table, and the
-// end-to-end featurization cost (four groups + topic vector) both ways,
-// then writes the whole table to BENCH_features.json (schema in
+// end-to-end featurization cost (four groups + topic vector) both ways, each
+// as the median of repeated whole-corpus passes with its inter-quartile
+// range, then writes the whole table to BENCH_features.json (schema in
 // docs/BENCHMARKS.md) -- the featurization counterpart of BENCH_gemm.json
 // and BENCH_serve.json.
 
@@ -28,19 +29,71 @@
 namespace sato::bench {
 namespace {
 
+// Each stage is timed over this many whole-corpus passes (at least); its
+// figures are the median pass with the pass-to-pass inter-quartile range.
+// On a shared host single passes move 20-40%, so one mean cannot tell a
+// 20% change from noise.
+constexpr int kMinTrials = 9;
+
 struct StageResult {
   const char* stage;
-  const char* unit;       // "column" or "table"
-  double ref_sec;         // whole-corpus seconds, reference path (0 = n/a)
-  double fast_sec;        // whole-corpus seconds, fast path
+  const char* unit;  // "column" or "table"
+  bool has_ref;      // false: fast path only
+  Spread ref_sec;    // whole-corpus seconds per pass, reference path
+  Spread fast_sec;   // whole-corpus seconds per pass, fast path
 };
 
 double PerUnitNs(double sec, size_t units) {
   return units == 0 ? 0.0 : sec * 1e9 / static_cast<double>(units);
 }
 
+// Seconds of each of `trials` calls of `pass`, after one warm-up call.
+template <typename Pass>
+Spread TimePasses(int trials, Pass&& pass) {
+  pass();
+  std::vector<double> seconds;
+  util::Timer timer;
+  for (int r = 0; r < trials; ++r) {
+    timer.Reset();
+    pass();
+    seconds.push_back(timer.ElapsedSeconds());
+  }
+  return SummarizeTrials(std::move(seconds));
+}
+
+// Times a stage both ways: one warm-up pass of each path, then `trials`
+// trials of one reference and one fast pass, the order swapped every trial
+// (as bench_micro pairs its GEMM kernels). Host drift during the stage thus
+// lands in both spreads alike instead of in the speedup.
+template <typename RefPass, typename FastPass>
+StageResult TimeStage(const char* stage, const char* unit, int trials,
+                      RefPass&& ref_pass, FastPass&& fast_pass) {
+  ref_pass();
+  fast_pass();
+  std::vector<double> ref_sec;
+  std::vector<double> fast_sec;
+  util::Timer timer;
+  auto timed = [&](auto& pass, std::vector<double>* out) {
+    timer.Reset();
+    pass();
+    out->push_back(timer.ElapsedSeconds());
+  };
+  for (int r = 0; r < trials; ++r) {
+    if (r % 2 == 0) {
+      timed(ref_pass, &ref_sec);
+      timed(fast_pass, &fast_sec);
+    } else {
+      timed(fast_pass, &fast_sec);
+      timed(ref_pass, &ref_sec);
+    }
+  }
+  return {stage, unit, true, SummarizeTrials(std::move(ref_sec)),
+          SummarizeTrials(std::move(fast_sec))};
+}
+
 void WriteJson(const char* path, const BenchEnv& env, size_t num_tables,
-               size_t num_columns, const std::vector<StageResult>& results) {
+               size_t num_columns, int trials,
+               const std::vector<StageResult>& results) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_features: cannot write %s\n", path);
@@ -58,25 +111,26 @@ void WriteJson(const char* path, const BenchEnv& env, size_t num_tables,
   // ("avx2" or "scalar") -- the fast-path numbers below depend on it.
   std::fprintf(f, "  \"featurize_kernel\": \"%s\",\n",
                features::KernelName().c_str());
+  std::fprintf(f, "  \"trials\": %d,\n", trials);
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const StageResult& r = results[i];
     size_t units = r.unit[0] == 'c' ? num_columns : num_tables;
-    if (r.ref_sec > 0.0) {
-      std::fprintf(f,
-                   "    {\"stage\": \"%s\", \"unit\": \"%s\", "
-                   "\"reference_ns\": %.1f, \"fast_ns\": %.1f, "
-                   "\"speedup\": %.2f}%s\n",
-                   r.stage, r.unit, PerUnitNs(r.ref_sec, units),
-                   PerUnitNs(r.fast_sec, units), r.ref_sec / r.fast_sec,
-                   i + 1 < results.size() ? "," : "");
-    } else {
-      std::fprintf(f,
-                   "    {\"stage\": \"%s\", \"unit\": \"%s\", "
-                   "\"fast_ns\": %.1f}%s\n",
-                   r.stage, r.unit, PerUnitNs(r.fast_sec, units),
-                   i + 1 < results.size() ? "," : "");
+    std::fprintf(f, "    {\"stage\": \"%s\", \"unit\": \"%s\", ", r.stage,
+                 r.unit);
+    if (r.has_ref) {
+      std::fprintf(f, "\"reference_ns\": %.1f, \"reference_iqr_ns\": %.1f, ",
+                   PerUnitNs(r.ref_sec.median, units),
+                   PerUnitNs(r.ref_sec.iqr(), units));
     }
+    std::fprintf(f, "\"fast_ns\": %.1f, \"fast_iqr_ns\": %.1f",
+                 PerUnitNs(r.fast_sec.median, units),
+                 PerUnitNs(r.fast_sec.iqr(), units));
+    if (r.has_ref) {
+      std::fprintf(f, ", \"speedup\": %.2f",
+                   r.ref_sec.median / r.fast_sec.median);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -88,7 +142,7 @@ int Run() {
   const std::vector<Table>& tables = env.tables_d;
   size_t num_columns = 0;
   for (const Table& t : tables) num_columns += t.num_columns();
-  int trials = std::max(1, env.scale.trials);
+  const int trials = std::max(kMinTrials, env.scale.trials);
 
   const embedding::WordEmbeddings& emb = env.context.embeddings();
   const embedding::TfIdf& tfidf = env.context.tfidf();
@@ -114,75 +168,53 @@ int Run() {
 
   features::FeatureScratch scratch;
   std::vector<double> buf;
-  util::Timer timer;
+  std::vector<StageResult> results;
 
   // -- tokenize + cache build (fast path only; the reference tokenises
   // inside each extractor, so its share shows up in the group rows).
-  double cache_sec = 0.0;
   {
     embedding::TokenCache cache;
-    for (const Table& t : tables) {  // warm
-      cache.Build(t, &emb, &tfidf, &lda.vocab());
-    }
-    timer.Reset();
-    for (int r = 0; r < trials; ++r) {
-      for (const Table& t : tables) {
-        cache.Build(t, &emb, &tfidf, &lda.vocab());
-      }
-    }
-    cache_sec = timer.ElapsedSeconds() / trials;
+    auto pass = [&] {
+      for (const Table& t : tables) cache.Build(t, &emb, &tfidf, &lda.vocab());
+    };
+    results.push_back(
+        {"tokenize_cache", "table", false, {}, TimePasses(trials, pass)});
   }
 
   // -- per-group kernels.
-  auto time_fast = [&](auto&& extract) {
-    // warm
-    for (size_t i = 0; i < tables.size(); ++i) {
-      for (size_t c = 0; c < caches[i].num_columns(); ++c) extract(i, c);
-    }
-    timer.Reset();
-    for (int r = 0; r < trials; ++r) {
+  auto group = [&](const char* stage, auto&& reference, auto&& fast) {
+    auto fast_pass = [&] {
       for (size_t i = 0; i < tables.size(); ++i) {
-        for (size_t c = 0; c < caches[i].num_columns(); ++c) extract(i, c);
+        for (size_t c = 0; c < caches[i].num_columns(); ++c) fast(i, c);
       }
-    }
-    return timer.ElapsedSeconds() / trials;
-  };
-  auto time_ref = [&](auto&& extract) {
-    timer.Reset();
-    for (int r = 0; r < trials; ++r) {
+    };
+    auto ref_pass = [&] {
       for (const Table& t : tables) {
-        for (const Column& c : t.columns()) extract(c);
+        for (const Column& c : t.columns()) reference(c);
       }
-    }
-    return timer.ElapsedSeconds() / trials;
+    };
+    results.push_back(TimeStage(stage, "column", trials, ref_pass, fast_pass));
   };
-
-  std::vector<StageResult> results;
-  results.push_back({"tokenize_cache", "table", 0.0, cache_sec});
-  results.push_back(
-      {"char", "column",
-       time_ref([&](const Column& c) { buf = char_ex.ReferenceExtract(c); }),
-       time_fast([&](size_t i, size_t c) {
-         char_ex.ExtractInto(caches[i], c, &scratch, &buf);
-       })});
-  results.push_back(
-      {"word", "column",
-       time_ref([&](const Column& c) { buf = word_ex.ReferenceExtract(c); }),
-       time_fast([&](size_t i, size_t c) {
-         word_ex.ExtractInto(caches[i], c, &scratch, &buf);
-       })});
-  results.push_back(
-      {"para", "column",
-       time_ref([&](const Column& c) { buf = para_ex.ReferenceExtract(c); }),
-       time_fast([&](size_t i, size_t c) {
-         para_ex.ExtractInto(caches[i], c, &scratch, &buf);
-       })});
-  results.push_back(
-      {"stat", "column",
-       time_ref([&](const Column& c) { buf = stat_ex.ReferenceExtract(c); }),
-       time_fast([&](size_t i, size_t c) {
-         stat_ex.ExtractInto(caches[i], c, &scratch, &buf);
-       })});
+  group(
+      "char", [&](const Column& c) { buf = char_ex.ReferenceExtract(c); },
+      [&](size_t i, size_t c) {
+        char_ex.ExtractInto(caches[i], c, &scratch, &buf);
+      });
+  group(
+      "word", [&](const Column& c) { buf = word_ex.ReferenceExtract(c); },
+      [&](size_t i, size_t c) {
+        word_ex.ExtractInto(caches[i], c, &scratch, &buf);
+      });
+  group(
+      "para", [&](const Column& c) { buf = para_ex.ReferenceExtract(c); },
+      [&](size_t i, size_t c) {
+        para_ex.ExtractInto(caches[i], c, &scratch, &buf);
+      });
+  group(
+      "stat", [&](const Column& c) { buf = stat_ex.ReferenceExtract(c); },
+      [&](size_t i, size_t c) {
+        stat_ex.ExtractInto(caches[i], c, &scratch, &buf);
+      });
 
   // -- extractors end to end: raw table -> four feature groups, including
   // each path's own tokenization (the cache build on the fast side, the
@@ -190,29 +222,22 @@ int Run() {
   // headline "featurization speedup vs the reference extractors".
   {
     std::vector<features::ColumnFeatures> fast_features;
-    for (const Table& t : tables) {  // warm
-      scratch.cache.Build(t, &emb, &tfidf, &lda.vocab());
-      pipeline.ExtractCached(&scratch, &fast_features);
-    }
-    timer.Reset();
-    for (int r = 0; r < trials; ++r) {
+    auto fast_pass = [&] {
       for (const Table& t : tables) {
         scratch.cache.Build(t, &emb, &tfidf, &lda.vocab());
         pipeline.ExtractCached(&scratch, &fast_features);
       }
-    }
-    double fast_sec = timer.ElapsedSeconds() / trials;
-    timer.Reset();
-    for (int r = 0; r < trials; ++r) {
+    };
+    auto ref_pass = [&] {
       for (const Table& t : tables) {
         for (const Column& c : t.columns()) {
           features::ColumnFeatures f = pipeline.ExtractReference(c);
           (void)f;
         }
       }
-    }
-    double ref_sec = timer.ElapsedSeconds() / trials;
-    results.push_back({"extractors_total", "column", ref_sec, fast_sec});
+    };
+    results.push_back(
+        TimeStage("extractors_total", "column", trials, ref_pass, fast_pass));
   }
 
   // -- LDA fold-in per table: raw table -> topic vector, both ways (the
@@ -220,29 +245,21 @@ int Run() {
   // prebuilt cache's ids).
   {
     std::vector<double> theta;
-    for (size_t i = 0; i < tables.size(); ++i) {  // warm
-      scratch.lda.ids.clear();
-      caches[i].CollectLdaIds(lda.options().max_doc_tokens, &scratch.lda.ids);
-      lda.InferTopicsInto(&scratch.lda, &theta);
-    }
-    timer.Reset();
-    for (int r = 0; r < trials; ++r) {
+    auto fast_pass = [&] {
       for (size_t i = 0; i < tables.size(); ++i) {
         scratch.lda.ids.clear();
         caches[i].CollectLdaIds(lda.options().max_doc_tokens,
                                 &scratch.lda.ids);
         lda.InferTopicsInto(&scratch.lda, &theta);
       }
-    }
-    double fast_sec = timer.ElapsedSeconds() / trials;
-    timer.Reset();
-    for (int r = 0; r < trials; ++r) {
+    };
+    auto ref_pass = [&] {
       for (const Table& t : tables) {
         theta = lda.ReferenceInferTopics(topic::TableToDocument(t));
       }
-    }
-    double ref_sec = timer.ElapsedSeconds() / trials;
-    results.push_back({"lda_fold_in", "table", ref_sec, fast_sec});
+    };
+    results.push_back(
+        TimeStage("lda_fold_in", "table", trials, ref_pass, fast_pass));
   }
 
   // -- end-to-end featurization (four groups + topic vector per table).
@@ -250,18 +267,12 @@ int Run() {
     util::Rng rng(5);
     std::vector<features::ColumnFeatures> fast_features;
     std::vector<double> topic;
-    for (const Table& t : tables) {  // warm
-      env.context.FeaturizeTable(t, &rng, &scratch, &fast_features, &topic);
-    }
-    timer.Reset();
-    for (int r = 0; r < trials; ++r) {
+    auto fast_pass = [&] {
       for (const Table& t : tables) {
         env.context.FeaturizeTable(t, &rng, &scratch, &fast_features, &topic);
       }
-    }
-    double fast_sec = timer.ElapsedSeconds() / trials;
-    timer.Reset();
-    for (int r = 0; r < trials; ++r) {
+    };
+    auto ref_pass = [&] {
       for (const Table& t : tables) {
         for (const Column& c : t.columns()) {
           features::ColumnFeatures f = pipeline.ExtractReference(c);
@@ -269,27 +280,35 @@ int Run() {
         }
         topic = lda.ReferenceInferTopics(topic::TableToDocument(t));
       }
-    }
-    double ref_sec = timer.ElapsedSeconds() / trials;
-    results.push_back({"featurize_total", "column", ref_sec, fast_sec});
+    };
+    results.push_back(
+        TimeStage("featurize_total", "column", trials, ref_pass, fast_pass));
   }
 
-  std::printf("%16s  %6s  %14s  %14s  %8s\n", "stage", "unit", "reference ns",
-              "fast ns", "speedup");
-  PrintRule(68);
+  std::printf("%16s  %6s  %20s  %20s  %8s\n", "stage", "unit",
+              "reference ns (iqr)", "fast ns (iqr)", "speedup");
+  PrintRule(80);
   for (const StageResult& r : results) {
     size_t units = r.unit[0] == 'c' ? num_columns : tables.size();
-    if (r.ref_sec > 0.0) {
-      std::printf("%16s  %6s  %14.0f  %14.0f  %7.2fx\n", r.stage, r.unit,
-                  PerUnitNs(r.ref_sec, units), PerUnitNs(r.fast_sec, units),
-                  r.ref_sec / r.fast_sec);
+    char fast_cell[64];
+    std::snprintf(fast_cell, sizeof(fast_cell), "%.0f (%.0f)",
+                  PerUnitNs(r.fast_sec.median, units),
+                  PerUnitNs(r.fast_sec.iqr(), units));
+    if (r.has_ref) {
+      char ref_cell[64];
+      std::snprintf(ref_cell, sizeof(ref_cell), "%.0f (%.0f)",
+                    PerUnitNs(r.ref_sec.median, units),
+                    PerUnitNs(r.ref_sec.iqr(), units));
+      std::printf("%16s  %6s  %20s  %20s  %7.2fx\n", r.stage, r.unit,
+                  ref_cell, fast_cell, r.ref_sec.median / r.fast_sec.median);
     } else {
-      std::printf("%16s  %6s  %14s  %14.0f  %8s\n", r.stage, r.unit, "-",
-                  PerUnitNs(r.fast_sec, units), "-");
+      std::printf("%16s  %6s  %20s  %20s  %8s\n", r.stage, r.unit, "-",
+                  fast_cell, "-");
     }
   }
 
-  WriteJson("BENCH_features.json", env, tables.size(), num_columns, results);
+  WriteJson("BENCH_features.json", env, tables.size(), num_columns, trials,
+            results);
   return 0;
 }
 

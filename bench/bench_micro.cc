@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "core/columnwise_model.h"
@@ -169,8 +170,10 @@ BENCHMARK(BM_ColumnwiseForward)->Arg(1)->Arg(16)->Arg(64);
 // One shape table drives both the google-benchmark suite and the
 // BENCH_gemm.json writer, so the two measurements can never drift apart.
 // Shapes are the multiplies SatoModel::Predict actually issues (batch of
-// 64 columns, default SatoConfig widths, encoder at max_tokens+1 = 25)
-// plus the 256^3 acceptance shape whose speedup the JSON tracks.
+// 64 columns, default SatoConfig widths, encoder at max_tokens+1 = 25),
+// the same layers at M = 3 (one table of about three columns, which is what
+// serving multiplies per request), plus the 256^3 acceptance shape whose
+// speedup the JSON tracks.
 struct GemmShape {
   const char* role;  ///< `role` field of the BENCH_gemm.json entry
   int64_t m, k, n;   ///< C = A[m x k] * B[k x n]
@@ -182,6 +185,9 @@ constexpr GemmShape kGemmShapes[] = {
     {"primary_in", 64, 123, 96},       // [batch x concat]   x hidden
     {"attention_proj", 25, 32, 32},    // [seq x d_model]    x d_model
     {"output_logits", 64, 96, 78},     // [batch x hidden]   x types
+    {"char_subnet_in_table", 3, 212, 48},
+    {"primary_in_table", 3, 123, 96},
+    {"output_logits_table", 3, 96, 78},
 };
 
 void GemmShapeArgs(benchmark::internal::Benchmark* b) {
@@ -264,17 +270,16 @@ BENCHMARK(BM_SoftmaxCrossEntropy);
 // -- BENCH_gemm.json --------------------------------------------------------
 // Machine-readable naive-vs-blocked comparison, the perf-trajectory file
 // the CI Release job uploads next to BENCH_serve.json. Iteration counts
-// target a fixed FLOP budget per measurement so every shape gets a stable
-// timing at every scale.
+// target a fixed FLOP budget per trial so every shape gets a stable timing
+// at every scale; each figure is the median of kGemmTrials trials, with
+// its inter-quartile range, and the two kernels alternate trial by trial
+// so host drift hits both alike.
+
+constexpr int kGemmTrials = 9;
 
 double TimeGemmSeconds(const nn::Matrix& a, const nn::Matrix& b,
                        nn::Matrix* c, const nn::gemm::Config& config,
                        bool reference, int iters) {
-  if (reference) {
-    nn::gemm::ReferenceGemm(a, b, c);  // warm-up (page faults, buffers)
-  } else {
-    nn::gemm::Gemm(a, b, c, config);
-  }
   util::Timer timer;
   for (int i = 0; i < iters; ++i) {
     if (reference) {
@@ -288,12 +293,12 @@ double TimeGemmSeconds(const nn::Matrix& a, const nn::Matrix& b,
 
 void WriteGemmJson(const char* path) {
   const bench::BenchScale scale = bench::GetScale();
-  // FLOPs spent per (shape, kernel) measurement; keeps tiny CI smokes fast
-  // and committed small/medium datapoints stable.
-  double flop_budget = 2e7;
-  if (scale.name == "small") flop_budget = 3e8;
-  if (scale.name == "medium") flop_budget = 1e9;
-  if (scale.name == "large") flop_budget = 3e9;
+  // FLOPs spent per (shape, kernel, trial); keeps tiny CI smokes fast and
+  // committed small/medium datapoints stable.
+  double flop_budget = 2e6;
+  if (scale.name == "small") flop_budget = 1e8;
+  if (scale.name == "medium") flop_budget = 3e8;
+  if (scale.name == "large") flop_budget = 1e9;
 
   const size_t threads = std::max(1u, std::thread::hardware_concurrency());
 
@@ -312,6 +317,7 @@ void WriteGemmJson(const char* path) {
   std::fprintf(f, "  \"blocks\": {\"mc\": %zu, \"kc\": %zu, \"nc\": %zu},\n",
                cfg.mc, cfg.kc, cfg.nc);
   std::fprintf(f, "  \"hardware_threads\": %zu,\n", threads);
+  std::fprintf(f, "  \"trials\": %d,\n", kGemmTrials);
   std::fprintf(f, "  \"results\": [\n");
 
   size_t count = sizeof(kGemmShapes) / sizeof(kGemmShapes[0]);
@@ -326,24 +332,36 @@ void WriteGemmJson(const char* path) {
     nn::Matrix a = GemmArg(m, k, 7);
     nn::Matrix b = GemmArg(k, n, 8);
     nn::Matrix c;
-    double naive = TimeGemmSeconds(a, b, &c, cfg, /*reference=*/true, iters);
-    double blocked =
-        TimeGemmSeconds(a, b, &c, cfg, /*reference=*/false, iters);
+    // Warm-up (page faults, packing buffers).
+    TimeGemmSeconds(a, b, &c, cfg, /*reference=*/true, 1);
+    TimeGemmSeconds(a, b, &c, cfg, /*reference=*/false, 1);
+    std::vector<double> naive_trials, blocked_trials;
+    for (int t = 0; t < kGemmTrials; ++t) {
+      naive_trials.push_back(
+          TimeGemmSeconds(a, b, &c, cfg, /*reference=*/true, iters));
+      blocked_trials.push_back(
+          TimeGemmSeconds(a, b, &c, cfg, /*reference=*/false, iters));
+    }
+    const bench::Spread naive = bench::SummarizeTrials(naive_trials);
+    const bench::Spread blocked = bench::SummarizeTrials(blocked_trials);
     std::fprintf(
         f,
         "    {\"role\": \"%s\", \"m\": %zu, \"k\": %zu, \"n\": %zu, "
         "\"iters\": %d,\n"
-        "     \"naive_sec\": %.6g, \"blocked_sec\": %.6g, "
-        "\"speedup\": %.2f,\n"
-        "     \"naive_gflops\": %.2f, \"blocked_gflops\": %.2f}%s\n",
-        shape.role, m, k, n, iters, naive, blocked, naive / blocked,
-        flops * 1e-9 / naive, flops * 1e-9 / blocked,
+        "     \"naive_sec\": %.6g, \"naive_iqr_sec\": %.3g, "
+        "\"blocked_sec\": %.6g, \"blocked_iqr_sec\": %.3g,\n"
+        "     \"speedup\": %.2f, "
+        "\"naive_gflops\": %.2f, \"blocked_gflops\": %.2f}%s\n",
+        shape.role, m, k, n, iters, naive.median, naive.iqr(),
+        blocked.median, blocked.iqr(), naive.median / blocked.median,
+        flops * 1e-9 / naive.median, flops * 1e-9 / blocked.median,
         s + 1 < count ? "," : "");
     std::fprintf(stderr,
-                 "bench_micro gemm: %-20s %4zux%4zux%4zu  naive %8.3f ms  "
-                 "blocked %8.3f ms  speedup %.2fx\n",
-                 shape.role, m, k, n, naive * 1e3, blocked * 1e3,
-                 naive / blocked);
+                 "bench_micro gemm: %-20s %4zux%4zux%4zu  naive %9.2f us  "
+                 "blocked %9.2f us (iqr %.2f)  speedup %.2fx\n",
+                 shape.role, m, k, n, naive.median * 1e6,
+                 blocked.median * 1e6, blocked.iqr() * 1e6,
+                 naive.median / blocked.median);
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

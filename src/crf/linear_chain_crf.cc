@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
 #include "nn/serialize.h"
+#include "util/cpu.h"
 #include "util/math_util.h"
 
 namespace sato::crf {
@@ -17,6 +19,60 @@ void CheckShapes(const nn::Matrix& unary, int num_states) {
   if (unary.rows() == 0 || unary.cols() != static_cast<size_t>(num_states)) {
     throw std::invalid_argument("LinearChainCrf: bad unary shape");
   }
+}
+
+// One Viterbi step: best[s] = max over prev of prev_delta[prev] +
+// pairwise[prev][s], arg[s] = the first prev reaching it. best must hold
+// -inf and arg 0 on entry. prev runs outer and s inner, so each step reads
+// one contiguous pairwise row and updates every state with two selects, not
+// a branch; the strict > over ascending prev keeps the first maximiser.
+//
+// The body is expanded twice, once per ISA level, like the GEMM
+// micro-kernel: GCC turns the selects into vector blends only where the
+// target has them (AVX2); at 78 states that copy decodes in about half the
+// time of the portable one. The step only adds and compares, so both
+// versions produce the same bits.
+#define SATO_VITERBI_STEP_BODY                                  \
+  for (size_t prev = 0; prev < k; ++prev) {                     \
+    const double d = prev_delta[prev];                          \
+    const double* row = pairwise + prev * k;                    \
+    const int p = static_cast<int>(prev);                       \
+    for (size_t s = 0; s < k; ++s) {                            \
+      const double cand = d + row[s];                           \
+      const bool better = cand > best[s];                       \
+      best[s] = better ? cand : best[s];                        \
+      arg[s] = better ? p : arg[s];                             \
+    }                                                           \
+  }
+
+void ViterbiStepGeneric(const double* pairwise, const double* prev_delta,
+                        size_t k, double* best, int* arg) {
+  SATO_VITERBI_STEP_BODY
+}
+
+#if defined(__GNUC__) && defined(__x86_64__)
+#define SATO_CRF_HAS_AVX2_STEP 1
+__attribute__((target("avx2"))) void ViterbiStepAvx2(
+    const double* pairwise, const double* prev_delta, size_t k, double* best,
+    int* arg) {
+  SATO_VITERBI_STEP_BODY
+}
+#endif
+
+#undef SATO_VITERBI_STEP_BODY
+
+using ViterbiStepFn = void (*)(const double*, const double*, size_t, double*,
+                               int*);
+
+// SATO_DISABLE_CPU_DISPATCH pins the portable step, as it does for every
+// other kernel, so CI keeps it covered.
+ViterbiStepFn PickViterbiStep() {
+#if defined(SATO_CRF_HAS_AVX2_STEP)
+  if (!util::CpuDispatchDisabledByEnv() && util::CpuHasAvx2()) {
+    return ViterbiStepAvx2;
+  }
+#endif
+  return ViterbiStepGeneric;
 }
 
 }  // namespace
@@ -153,31 +209,28 @@ double LinearChainCrf::AccumulateGradients(const nn::Matrix& unary,
 
 std::vector<int> LinearChainCrf::Viterbi(const nn::Matrix& unary) const {
   CheckShapes(unary, num_states_);
+  static const ViterbiStepFn step = PickViterbiStep();
   const size_t m = unary.rows();
   const size_t k = static_cast<size_t>(num_states_);
-  nn::Matrix delta(m, k);
-  std::vector<std::vector<int>> backptr(m, std::vector<int>(k, 0));
-  for (size_t s = 0; s < k; ++s) delta(0, s) = unary(0, s);
+  // delta[i * k + s]: best score of a path ending in state s at column i;
+  // backptr[i * k + s]: its state at column i - 1 (zero-initialised, as
+  // the step expects).
+  std::vector<double> delta(m * k);
+  std::vector<int> backptr(m * k, 0);
+  std::copy(unary.Row(0), unary.Row(0) + k, delta.begin());
   for (size_t i = 1; i < m; ++i) {
-    for (size_t s = 0; s < k; ++s) {
-      double best = -std::numeric_limits<double>::infinity();
-      int best_prev = 0;
-      for (size_t prev = 0; prev < k; ++prev) {
-        double cand = delta(i - 1, prev) + pairwise_.value(prev, s);
-        if (cand > best) {
-          best = cand;
-          best_prev = static_cast<int>(prev);
-        }
-      }
-      delta(i, s) = best + unary(i, s);
-      backptr[i][s] = best_prev;
-    }
+    double* best = delta.data() + i * k;
+    std::fill(best, best + k, -std::numeric_limits<double>::infinity());
+    step(pairwise_.value.data(), delta.data() + (i - 1) * k, k, best,
+         backptr.data() + i * k);
+    const double* u = unary.Row(i);
+    for (size_t s = 0; s < k; ++s) best[s] += u[s];
   }
   std::vector<int> path(m);
-  const double* last = delta.Row(m - 1);
+  const double* last = delta.data() + (m - 1) * k;
   path[m - 1] = static_cast<int>(std::max_element(last, last + k) - last);
   for (size_t ii = m - 1; ii > 0; --ii) {
-    path[ii - 1] = backptr[ii][static_cast<size_t>(path[ii])];
+    path[ii - 1] = backptr[ii * k + static_cast<size_t>(path[ii])];
   }
   return path;
 }

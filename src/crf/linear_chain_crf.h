@@ -58,7 +58,10 @@ class LinearChainCrf {
                              const std::vector<int>& labels,
                              nn::Matrix* unary_grad = nullptr);
 
-  /// MAP decoding (Viterbi, §3.3).
+  /// MAP decoding (Viterbi, §3.3). Ties go to the lowest state index, both
+  /// for the predecessor of each state and for the final state. Runs in
+  /// O(m K^2) over contiguous rows of pairwise(), with two flat m x K
+  /// buffers (scores and backpointers) as its only scratch.
   std::vector<int> Viterbi(const nn::Matrix& unary) const;
 
   /// Posterior marginals P(t_i = k | c): an [m x K] matrix.

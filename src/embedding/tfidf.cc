@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "util/binary_io.h"
+
 namespace sato::embedding {
 
 void TfIdf::Fit(const std::vector<std::vector<std::string>>& documents) {
@@ -67,10 +69,7 @@ TfIdf TfIdf::Load(std::istream* in) {
   if (!*in) throw std::runtime_error("TfIdf::Load: truncated stream");
   tfidf.num_documents_ = n;
   for (uint64_t i = 0; i < entries; ++i) {
-    uint64_t len = 0;
-    in->read(reinterpret_cast<char*>(&len), sizeof(len));
-    std::string token(len, '\0');
-    in->read(token.data(), static_cast<std::streamsize>(len));
+    std::string token = util::ReadLengthPrefixedString(in, "TfIdf::Load");
     uint64_t df = 0;
     in->read(reinterpret_cast<char*>(&df), sizeof(df));
     if (!*in) throw std::runtime_error("TfIdf::Load: truncated stream");

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "nn/serialize.h"
+#include "util/binary_io.h"
 #include "util/math_util.h"
 #include "util/string_util.h"
 
@@ -86,13 +87,9 @@ WordEmbeddings WordEmbeddings::Load(std::istream* in) {
   if (!*in) throw std::runtime_error("WordEmbeddings::Load: truncated");
   Vocabulary vocab;
   std::vector<std::pair<std::string, int64_t>> entries;
-  entries.reserve(n);
   int64_t total = 0;  // bounds every count sum below INT64_MAX
   for (uint64_t i = 0; i < n; ++i) {
-    uint64_t len = 0;
-    in->read(reinterpret_cast<char*>(&len), sizeof(len));
-    std::string t(len, '\0');
-    in->read(t.data(), static_cast<std::streamsize>(len));
+    std::string t = util::ReadLengthPrefixedString(in, "WordEmbeddings::Load");
     int64_t freq = 0;
     in->read(reinterpret_cast<char*>(&freq), sizeof(freq));
     if (!*in) throw std::runtime_error("WordEmbeddings::Load: truncated");

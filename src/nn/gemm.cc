@@ -25,11 +25,13 @@ struct ConstView {
 // The micro-kernel body is expanded twice -- once per ISA level -- because
 // GCC will not inline one function into another with a wider target
 // attribute. Accumulators live in a local MR x NR tile the optimiser keeps
-// fully in registers (4 x 8 doubles = 8 ymm accumulators under AVX2).
+// fully in registers (4 x 8 doubles = 8 ymm accumulators under AVX2). Row p
+// of the B panel starts at bp + p * ldb: ldb is NR for a packed panel and
+// B's row stride when the panel is read in place.
 #define SATO_GEMM_MICROKERNEL_BODY                                       \
   double acc[MR * NR] = {};                                              \
   for (size_t p = 0; p < kb; ++p) {                                      \
-    const double* bv = bp + p * NR;                                      \
+    const double* bv = bp + p * ldb;                                     \
     const double* av = ap + p * MR;                                      \
     for (size_t i = 0; i < MR; ++i) {                                    \
       double a_i = av[i];                                                \
@@ -40,7 +42,7 @@ struct ConstView {
 
 /// Portable micro-kernel: whatever vector width the baseline target has.
 void MicroKernelGeneric(size_t kb, const double* ap, const double* bp,
-                        double* out) {
+                        size_t ldb, double* out) {
   SATO_GEMM_MICROKERNEL_BODY
 }
 
@@ -49,14 +51,15 @@ void MicroKernelGeneric(size_t kb, const double* ap, const double* bp,
 /// Same body compiled for AVX2+FMA; selected by runtime dispatch so the
 /// binary still runs on baseline x86-64.
 __attribute__((target("avx2,fma"))) void MicroKernelAvx2Fma(
-    size_t kb, const double* ap, const double* bp, double* out) {
+    size_t kb, const double* ap, const double* bp, size_t ldb, double* out) {
   SATO_GEMM_MICROKERNEL_BODY
 }
 #endif
 
 #undef SATO_GEMM_MICROKERNEL_BODY
 
-using MicroKernelFn = void (*)(size_t, const double*, const double*, double*);
+using MicroKernelFn = void (*)(size_t, const double*, const double*, size_t,
+                               double*);
 
 MicroKernelFn PickMicroKernel(const Config& config) {
 #if defined(SATO_GEMM_HAS_AVX2_KERNEL)
@@ -99,6 +102,17 @@ void PackB(const ConstView& b, size_t k0, size_t j0, size_t kb, size_t nb,
 
 /// Computes C [m,n] = op(A) * op(B) with the full blocking scheme. Each
 /// element's k-accumulation order depends only on kc.
+///
+/// When op(B) has unit column stride (Gemm, GemmTransposeA) and C is one
+/// row strip (m <= mc), every full NR-column panel is read in place from B
+/// and only the partial last panel is packed (zero-padded, at most NR x kc
+/// doubles). A table has a handful of columns, so a serving call would use
+/// each packed B element about once: packing the whole weight matrix per
+/// call cost more than the multiply. Several strips reuse each panel
+/// enough that the contiguous packed copy wins again (about 8% at 256^3),
+/// so they, like a strided op(B) (GemmTransposeB), pack B in full. The
+/// micro-kernel sees the same values in the same order either way, so C is
+/// bitwise the same.
 void GemmBlocked(const ConstView& a, const ConstView& b, double* c, size_t m,
                  size_t k, size_t n, const Config& config,
                  MicroKernelFn micro) {
@@ -110,14 +124,17 @@ void GemmBlocked(const ConstView& a, const ConstView& b, double* c, size_t m,
   const size_t mc = std::max<size_t>(MR, config.mc);
   const size_t kc = std::max<size_t>(1, config.kc);
   const size_t nc = std::max<size_t>(NR, config.nc);
+  const bool b_in_place = (b.cs == 1 && m <= mc);
 
   for (size_t jc = 0; jc < n; jc += nc) {
     size_t nb = std::min(nc, n - jc);
-    size_t nb_pad = (nb + NR - 1) / NR * NR;
+    // Columns [0, nb_direct) of the slab are read from B, the rest packed.
+    size_t nb_direct = b_in_place ? nb / NR * NR : 0;
+    size_t nb_packed_pad = (nb - nb_direct + NR - 1) / NR * NR;
     for (size_t pc = 0; pc < k; pc += kc) {
       size_t kb = std::min(kc, k - pc);
-      b_panel.resize(nb_pad * kb);
-      PackB(b, pc, jc, kb, nb, b_panel.data());
+      b_panel.resize(nb_packed_pad * kb);
+      PackB(b, pc, jc + nb_direct, kb, nb - nb_direct, b_panel.data());
       // First k-panel stores into C, later panels accumulate: C is fully
       // overwritten without a separate zeroing pass.
       bool first = (pc == 0);
@@ -128,12 +145,16 @@ void GemmBlocked(const ConstView& a, const ConstView& b, double* c, size_t m,
         PackA(a, ic, pc, mb, kb, a_panel.data());
         for (size_t jr = 0; jr < nb; jr += NR) {
           size_t nr = std::min(NR, nb - jr);
-          const double* bp = b_panel.data() + jr / NR * (NR * kb);
+          const bool direct = jr < nb_direct;
+          const double* bp =
+              direct ? b.p + pc * b.rs + jc + jr
+                     : b_panel.data() + (jr - nb_direct) / NR * (NR * kb);
+          const size_t ldb = direct ? b.rs : NR;
           for (size_t ir = 0; ir < mb; ir += MR) {
             size_t mr = std::min(MR, mb - ir);
             const double* ap = a_panel.data() + ir / MR * (MR * kb);
             double tile[MR * NR];
-            micro(kb, ap, bp, tile);
+            micro(kb, ap, bp, ldb, tile);
             double* cblk = c + (ic + ir) * n + jc + jr;
             if (first) {
               for (size_t i = 0; i < mr; ++i)

@@ -14,15 +14,23 @@ namespace sato::nn::gemm {
 ///
 /// Algorithm (BLIS/Goto-style): C = op(A) * op(B) is computed over three
 /// cache-blocking loops (columns of C in `nc` slabs, the shared dimension
-/// in `kc` panels, rows of C in `mc` strips). Each (kc x nc) panel of B and
-/// (mc x kc) strip of A is packed once into contiguous, zero-padded panel
-/// storage, then a register-tiled micro-kernel computes kMicroRows x
-/// kMicroCols output tiles with all accumulators in registers. The
-/// transpose variants differ only in how the pack step walks A/B, so all
-/// four MatMul routings share one kernel.
+/// in `kc` panels, rows of C in `mc` strips). Each (mc x kc) strip of A is
+/// packed once into contiguous, zero-padded panel storage, then a
+/// register-tiled micro-kernel computes kMicroRows x kMicroCols output
+/// tiles with all accumulators in registers. B is packed only when that
+/// pays: when op(B) has unit column stride (Gemm, GemmTransposeA) and C is
+/// one row strip (M <= mc, e.g. one table's columns), full kMicroCols-wide
+/// panels are read in place and only the partial last panel is packed; a
+/// strided op(B) (GemmTransposeB) or several row strips pack each (kc x nc)
+/// panel of B in full. Either way the micro-kernel sees the same values in
+/// the same order, so C is bitwise the same. The transpose variants differ
+/// only in how A/B are walked, so all four MatMul routings share one
+/// kernel.
 ///
 /// Numerical contract: for one (M, N, K, Config) the result is a pure
-/// function of the inputs -- bitwise deterministic on any thread. Each
+/// function of the inputs -- bitwise deterministic on any thread. Each row
+/// of C depends only on its row of op(A), op(B) and kc, so a table's
+/// columns get the same bits alone as inside a larger batch. Each
 /// call runs serially on the calling thread; serving parallelises across
 /// tables instead, one GEMM per worker. Different block sizes regroup the
 /// k-accumulation and may differ from the reference kernel by normal

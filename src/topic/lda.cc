@@ -7,6 +7,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/binary_io.h"
+
 namespace sato::topic {
 
 // The options struct is written raw into bundles (Save/Load), so its layout
@@ -102,6 +104,15 @@ LdaModel LdaModel::Train(const std::vector<std::vector<std::string>>& documents,
   if (!(options.alpha > 0.0) || !std::isfinite(options.alpha)) {
     throw std::invalid_argument("LdaModel::Train: alpha must be positive");
   }
+  if (options.infer_iterations < 1 ||
+      options.infer_iterations > kMaxInferIterations) {
+    throw std::invalid_argument(
+        "LdaModel::Train: infer_iterations out of range");
+  }
+  if (options.max_doc_tokens == 0) {
+    throw std::invalid_argument(
+        "LdaModel::Train: max_doc_tokens must be positive");
+  }
 
   std::vector<std::vector<TokenId>> docs;
   docs.reserve(documents.size());
@@ -185,7 +196,9 @@ void LdaModel::BuildPhiTranspose() {
 
 std::vector<double> LdaModel::InferTopics(
     const std::vector<std::string>& document) const {
-  LdaScratch scratch;
+  // One scratch per thread, reused across calls and models: a fresh one
+  // would zero-fill a vocabulary-sized id_counts array for every document.
+  thread_local LdaScratch scratch;
   scratch.ids = Encode(vocab_, document, options_.max_doc_tokens);
   std::vector<double> theta;
   InferTopicsInto(&scratch, &theta);
@@ -200,37 +213,52 @@ void LdaModel::InferTopicsInto(LdaScratch* scratch,
   if (ids.empty()) return;
   const double n_tokens = static_cast<double>(ids.size());
 
-  // Collapse the document into sorted unique ids with counts, in place.
-  std::sort(ids.begin(), ids.end());
+  // Collapse the document into sorted unique ids with counts, in place:
+  // count each id in the dense per-vocabulary array, keep its first
+  // occurrence, sort only the unique ids, then read the counts back and
+  // reset their slots to zero for the next call. Both buffers are sized
+  // before counting, so nothing between counting and the reset allocates
+  // and a throw cannot leave a slot non-zero.
+  std::vector<uint32_t>& id_counts = scratch->id_counts;
+  if (id_counts.size() < vocab_.size()) id_counts.resize(vocab_.size(), 0);
   std::vector<double>& counts = scratch->counts;
-  counts.clear();
+  counts.resize(ids.size());
   size_t unique = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0 && ids[i] == ids[unique - 1]) {
-      counts.back() += 1.0;
-    } else {
-      ids[unique++] = ids[i];
-      counts.push_back(1.0);
-    }
+    const TokenId id = ids[i];
+    if (id_counts[static_cast<size_t>(id)]++ == 0) ids[unique++] = id;
   }
   ids.resize(unique);
+  std::sort(ids.begin(), ids.end());
+  for (size_t u = 0; u < unique; ++u) {
+    uint32_t& slot = id_counts[static_cast<size_t>(ids[u])];
+    counts[u] = static_cast<double>(slot);
+    slot = 0;
+  }
+  counts.resize(unique);
 
   // E-step against the frozen phi, one contiguous phi column per unique
-  // word: gamma = alpha + e * sum_w count_w * phi_w / (e . phi_w).
+  // word: gamma = alpha + e * sum_w count_w * phi_w / (e . phi_w). Each
+  // iteration first scales every word, then accumulates in id order.
   const double alpha = options_.alpha;
   scratch->gamma.assign(k, alpha + n_tokens / static_cast<double>(k));
   scratch->e.resize(k);
   scratch->acc.resize(k);
+  scratch->scale.resize(unique);
   double* gamma = scratch->gamma.data();
   double* e = scratch->e.data();
   double* acc = scratch->acc.data();
+  double* scale = scratch->scale.data();
   for (int iter = 0; iter < options_.infer_iterations; ++iter) {
     ExpDigamma(gamma, k, e);
+    for (size_t u = 0; u < unique; ++u) {
+      scale[u] = counts[u] / (Dot8(e, PhiCol(ids[u]), k) + kNormEpsilon);
+    }
     std::fill(acc, acc + k, 0.0);
     for (size_t u = 0; u < unique; ++u) {
       const double* col = PhiCol(ids[u]);
-      const double scale = counts[u] / (Dot8(e, col, k) + kNormEpsilon);
-      for (size_t t = 0; t < k; ++t) acc[t] += scale * col[t];
+      const double s = scale[u];
+      for (size_t t = 0; t < k; ++t) acc[t] += s * col[t];
     }
     if (UpdateGamma(alpha, e, acc, k, gamma) < kGammaThreshold) break;
   }
@@ -316,13 +344,18 @@ LdaModel LdaModel::Load(std::istream* in) {
   in->read(reinterpret_cast<char*>(&v), sizeof(v));
   in->read(reinterpret_cast<char*>(&model.options_), sizeof(model.options_));
   if (!*in) throw std::runtime_error("LdaModel::Load: truncated stream");
+  // The saved options bound the fold-in's work per table.
+  if (model.options_.infer_iterations < 1 ||
+      model.options_.infer_iterations > kMaxInferIterations) {
+    throw std::runtime_error("LdaModel::Load: infer_iterations out of range");
+  }
+  if (model.options_.max_doc_tokens == 0) {
+    throw std::runtime_error("LdaModel::Load: max_doc_tokens must be positive");
+  }
   std::vector<std::string> tokens;
   int64_t total = 0;  // bounds every count sum below INT64_MAX
   for (uint64_t i = 0; i < v; ++i) {
-    uint64_t len = 0;
-    in->read(reinterpret_cast<char*>(&len), sizeof(len));
-    std::string t(len, '\0');
-    in->read(t.data(), static_cast<std::streamsize>(len));
+    std::string t = util::ReadLengthPrefixedString(in, "LdaModel::Load");
     int64_t freq = 0;
     in->read(reinterpret_cast<char*>(&freq), sizeof(freq));
     if (!*in) throw std::runtime_error("LdaModel::Load: truncated stream");
@@ -351,10 +384,10 @@ LdaModel LdaModel::Load(std::istream* in) {
   if (!(model.options_.alpha > 0.0) || !std::isfinite(model.options_.alpha)) {
     throw std::runtime_error("LdaModel::Load: alpha must be positive");
   }
-  model.phi_.assign(k * v, 0.0);
-  in->read(reinterpret_cast<char*>(model.phi_.data()),
-           static_cast<std::streamsize>(model.phi_.size() * sizeof(double)));
-  if (!*in) throw std::runtime_error("LdaModel::Load: truncated stream");
+  if (v != 0 && k > std::numeric_limits<uint64_t>::max() / v) {
+    throw std::runtime_error("LdaModel::Load: phi too large");
+  }
+  util::ReadArray(in, k * v, &model.phi_, "LdaModel::Load");
   model.BuildPhiTranspose();
   return model;
 }

@@ -1,6 +1,7 @@
 #ifndef SATO_TOPIC_LDA_H_
 #define SATO_TOPIC_LDA_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <utility>
@@ -10,6 +11,11 @@
 #include "util/rng.h"
 
 namespace sato::topic {
+
+/// Largest LdaOptions::infer_iterations a model may carry (Train and Load
+/// reject more): with max_doc_tokens it bounds the fold-in's work per
+/// table. gensim's default is 50.
+inline constexpr int kMaxInferIterations = 1000;
 
 /// Latent Dirichlet Allocation configuration. The paper pre-trains a
 /// 400-topic gensim LDA on 10K tables (§4.2); topic count here is
@@ -25,10 +31,10 @@ struct LdaOptions {
   /// `gamma_threshold`); on 64-256-row synthetic tables at K = 32 it
   /// averages about 20 iterations and about 12% of tables reach the cap.
   /// Bundles store this field, so a model keeps the cap it was trained
-  /// with.
+  /// with. Must lie in [1, kMaxInferIterations].
   int infer_iterations = 50;
   int64_t min_count = 2;       ///< vocabulary cutoff
-  size_t max_doc_tokens = 512; ///< truncate very large documents
+  size_t max_doc_tokens = 512; ///< truncate very large documents (>= 1)
 };
 
 /// Reusable scratch state for the fold-in fast path (InferTopicsInto).
@@ -39,6 +45,11 @@ struct LdaScratch {
                                         ///< the fold-in collapses it in place
                                         ///< into its sorted unique ids
   std::vector<double> counts;           ///< occurrences of each unique id
+  std::vector<uint32_t> id_counts;      ///< occurrences by vocabulary id,
+                                        ///< sized to the largest vocabulary
+                                        ///< seen; all zero between calls
+  std::vector<double> scale;            ///< count_w / (e . phi_w) of each
+                                        ///< unique id, one E-step iteration
   std::vector<double> gamma;            ///< variational Dirichlet (K)
   std::vector<double> e;                ///< exp(digamma(gamma)) (K)
   std::vector<double> acc;              ///< per-iteration sufficient stats (K)
@@ -46,8 +57,9 @@ struct LdaScratch {
   /// Total heap capacity currently held (for zero-allocation assertions).
   size_t CapacityBytes() const {
     return ids.capacity() * sizeof(embedding::TokenId) +
-           (counts.capacity() + gamma.capacity() + e.capacity() +
-            acc.capacity()) *
+           id_counts.capacity() * sizeof(uint32_t) +
+           (counts.capacity() + scale.capacity() + gamma.capacity() +
+            e.capacity() + acc.capacity()) *
                sizeof(double);
   }
 };
@@ -74,7 +86,9 @@ class LdaModel {
 
   /// Infers the topic mixture theta (length num_topics, sums to 1) for an
   /// unseen document. Documents with no in-vocabulary token get the uniform
-  /// mixture. Routes through the fast path with transient scratch.
+  /// mixture. Routes through the fast path with a thread_local scratch
+  /// that keeps its capacity (about 4 bytes per word of the largest
+  /// vocabulary seen) for the thread's lifetime.
   std::vector<double> InferTopics(
       const std::vector<std::string>& document) const;
 

@@ -4,10 +4,11 @@
 namespace sato::util {
 
 /// Host-CPU feature probes behind the runtime kernel dispatch in
-/// nn/gemm.cc and the SIMD featurization kernels (features/,
-/// embedding/token_cache.cc). Each probe is evaluated once and cached;
-/// on non-x86-64 builds they are compile-time false, so every dispatch
-/// site falls back to its portable scalar kernel.
+/// nn/gemm.cc, the Viterbi step (crf/linear_chain_crf.cc) and the SIMD
+/// featurization kernels (features/, embedding/token_cache.cc). Each
+/// probe is evaluated once and cached; on non-x86-64 builds they are
+/// compile-time false, so every dispatch site falls back to its portable
+/// scalar kernel.
 
 /// True when the host supports AVX2.
 bool CpuHasAvx2();

@@ -107,6 +107,44 @@ TEST(CrfTest, ViterbiFindsArgmaxSequence) {
   }
 }
 
+TEST(CrfTest, ViterbiUniformPotentialsDecodeToStateZero) {
+  // Every path ties: the first maximiser wins at each step and at the end.
+  for (int states : {2, 5, 78}) {
+    LinearChainCrf crf(states);
+    for (size_t m : {1, 2, 3, 8}) {
+      nn::Matrix unary(m, static_cast<size_t>(states), 0.0);
+      EXPECT_EQ(crf.Viterbi(unary), std::vector<int>(m, 0))
+          << states << " states, m=" << m;
+    }
+  }
+}
+
+TEST(CrfTest, ViterbiReachesBruteForceMaximumUnderTies) {
+  // Potentials in {-1, 0, 1} make many paths tie; integer sums are exact,
+  // so the decoded path must score exactly the brute-force maximum.
+  util::Rng rng(41);
+  const int states = 4;
+  auto tie_heavy = [&](size_t rows, size_t cols) {
+    nn::Matrix x(rows, cols);
+    for (size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = static_cast<double>(rng.UniformInt(-1, 1));
+    }
+    return x;
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    LinearChainCrf crf(states);
+    crf.pairwise().value = tie_heavy(states, states);
+    const size_t m = 1 + static_cast<size_t>(trial % 5);
+    nn::Matrix unary = tie_heavy(m, states);
+    double best = -1e300;
+    ForAllSequences(m, states, [&](const std::vector<int>& seq) {
+      best = std::max(best, SequenceScore(crf, unary, seq));
+    });
+    EXPECT_EQ(SequenceScore(crf, unary, crf.Viterbi(unary)), best)
+        << "trial " << trial;
+  }
+}
+
 TEST(CrfTest, ViterbiSingleColumnIsArgmax) {
   util::Rng rng(5);
   LinearChainCrf crf = RandomCrf(6, &rng);

@@ -156,6 +156,42 @@ TEST(TfIdfTest, LoadRejectsTruncated) {
   EXPECT_THROW(TfIdf::Load(&ss), std::runtime_error);
 }
 
+// Overwrites the u64 at byte `pos` of a saved stream.
+std::string PatchU64(std::string bytes, size_t pos, uint64_t value) {
+  std::memcpy(bytes.data() + pos, &value, sizeof(value));
+  return bytes;
+}
+
+TEST(TfIdfTest, HugeSavedTokenLengthThrowsQuickly) {
+  TfIdf tfidf;
+  tfidf.Fit({{"the", "cat"}, {"the", "dog"}});
+  std::stringstream ss;
+  tfidf.Save(&ss);
+  // Layout: u64 documents, u64 entries, then per entry u64 length, bytes,
+  // u64 df. A length of 2^50 must fail as a truncated stream, not as a
+  // 1 PiB allocation.
+  std::stringstream in(PatchU64(ss.str(), 2 * sizeof(uint64_t),
+                                uint64_t{1} << 50));
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(TfIdf::Load(&in), std::runtime_error);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            1.0);
+}
+
+TEST(TfIdfTest, TokenLongerThanOneReadChunkRoundTrips) {
+  // Bounded reads fill a long token over several chunks.
+  const std::string long_token(2 * (size_t{1} << 20) + 123, 'x');
+  TfIdf tfidf;
+  tfidf.Fit({{long_token, "cat"}, {"dog"}});
+  std::stringstream ss;
+  tfidf.Save(&ss);
+  TfIdf back = TfIdf::Load(&ss);
+  EXPECT_DOUBLE_EQ(back.Idf(long_token), tfidf.Idf(long_token));
+  EXPECT_DOUBLE_EQ(back.Idf("dog"), tfidf.Idf("dog"));
+}
+
 // ---------------------------------------------------------------- sgns ----
 
 // Builds a corpus with two disjoint token "communities"; tokens that
@@ -309,6 +345,18 @@ TEST(WordEmbeddingsTest, HugeSavedFrequencyLoadsOrThrowsQuickly) {
   // rows, so the load refuses it.
   EXPECT_LT(LoadSeconds(PatchFrequency(ss.str(), 1, huge), &threw), 1.0);
   EXPECT_TRUE(threw);
+}
+
+TEST(WordEmbeddingsTest, HugeSavedLengthOrCountThrowsQuickly) {
+  std::stringstream ss;
+  TinyEmbeddings().Save(&ss);
+  bool threw = false;
+  // Layout: u64 count at 0, then the first entry's u64 token length.
+  for (size_t pos : {size_t{0}, sizeof(uint64_t)}) {
+    std::string bytes = PatchU64(ss.str(), pos, uint64_t{1} << 50);
+    EXPECT_LT(LoadSeconds(bytes, &threw), 1.0) << pos;
+    EXPECT_TRUE(threw) << pos;
+  }
 }
 
 TEST(WordEmbeddingsTest, InvalidSavedFrequencyThrows) {

@@ -6,6 +6,7 @@
 #include "nn/gemm.h"
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <stdexcept>
 #include <vector>
@@ -100,6 +101,73 @@ TEST(GemmTest, PublicMatMulRoutingsMatchReference) {
   Matrix tb_ref;
   gemm::ReferenceGemmTransposeB(a, bt, &tb_ref);
   EXPECT_LT(MaxAbsDiff(MatMulTransposeB(a, bt), tb_ref), 1e-12);
+}
+
+// Bitwise equality (memcmp), not operator== on values: -0.0 and NaN
+// payloads count too.
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+Matrix Transposed(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (size_t i = 0; i < m.rows(); ++i)
+    for (size_t j = 0; j < m.cols(); ++j) t(j, i) = m(i, j);
+  return t;
+}
+
+TEST(GemmTest, InPlaceBReadIsBitwiseEqualToPackedB) {
+  // Gemm reads B's full column panels in place and packs only the partial
+  // last one; GemmTransposeB packs all of B^T. Same k order, same bits.
+  // GemmTransposeA packs A through a strided view, which must not matter
+  // either. N covers no full panel, exactly one, one plus a tail and the
+  // 78-wide logits; K = 300 crosses the default kc = 256.
+  const std::vector<size_t> ms = {1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 200};
+  const std::vector<size_t> ns = {1, 7, 8, 9, 78};
+  const std::vector<size_t> ks = {1, 212, 300};
+  gemm::Config generic;
+  generic.enable_cpu_dispatch = false;
+  util::Rng rng(21);
+  for (const gemm::Config& config : {gemm::DefaultConfig(), generic}) {
+    for (size_t k : ks) {
+      for (size_t n : ns) {
+        Matrix b = Matrix::Gaussian(k, n, 1.0, &rng);
+        Matrix bt = Transposed(b);
+        for (size_t m : ms) {
+          Matrix a = Matrix::Gaussian(m, k, 1.0, &rng);
+          Matrix in_place, packed, transposed_a;
+          gemm::Gemm(a, b, &in_place, config);
+          gemm::GemmTransposeB(a, bt, &packed, config);
+          gemm::GemmTransposeA(Transposed(a), b, &transposed_a, config);
+          EXPECT_TRUE(BitwiseEqual(in_place, packed))
+              << m << "x" << k << "x" << n << " " << gemm::KernelName(config);
+          EXPECT_TRUE(BitwiseEqual(in_place, transposed_a))
+              << m << "x" << k << "x" << n << " " << gemm::KernelName(config);
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmTest, EachRowIsBitwiseIndependentOfM) {
+  // A row of C depends only on its row of A: a 3-column table's logits are
+  // the same bits whether it is multiplied alone or inside a batch.
+  util::Rng rng(22);
+  const size_t k = 300, n = 78;
+  Matrix a = Matrix::Gaussian(200, k, 1.0, &rng);
+  Matrix b = Matrix::Gaussian(k, n, 1.0, &rng);
+  Matrix full;
+  gemm::Gemm(a, b, &full);
+  for (size_t m : {1, 3, 4, 5, 63, 64, 65, 199}) {
+    Matrix head(m, k);
+    std::memcpy(head.data(), a.data(), m * k * sizeof(double));
+    Matrix c;
+    gemm::Gemm(head, b, &c);
+    ASSERT_EQ(c.rows(), m);
+    EXPECT_EQ(std::memcmp(c.data(), full.data(), m * n * sizeof(double)), 0)
+        << "m=" << m;
+  }
 }
 
 TEST(GemmTest, TinyBlockConfigCrossesEveryBlockBoundary) {

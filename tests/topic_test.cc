@@ -6,8 +6,10 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <map>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -222,6 +224,68 @@ TEST(LdaTest, NonPositiveAlphaIsRejected) {
   }
 }
 
+TEST(LdaTest, HugeSavedTokenLengthThrowsQuickly) {
+  util::Rng rng(14);
+  LdaModel lda = LdaModel::Train(TwoThemeCorpus(20), SmallLda(3), &rng);
+  std::stringstream ss;
+  lda.Save(&ss);
+  // The first entry's u64 token length follows K, V and the raw options.
+  std::string bytes = ss.str();
+  const uint64_t huge = uint64_t{1} << 50;
+  std::memcpy(bytes.data() + 2 * sizeof(uint64_t) + sizeof(LdaOptions),
+              &huge, sizeof(huge));
+  std::stringstream in(bytes);
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(LdaModel::Load(&in), std::runtime_error);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            1.0);
+}
+
+TEST(LdaTest, FoldInWorkBoundsAreValidated) {
+  util::Rng rng(15);
+  for (int iterations : {0, -1, kMaxInferIterations + 1}) {
+    LdaOptions opts = SmallLda(3);
+    opts.infer_iterations = iterations;
+    EXPECT_THROW(LdaModel::Train(TwoThemeCorpus(5), opts, &rng),
+                 std::invalid_argument)
+        << iterations;
+  }
+  LdaOptions no_tokens = SmallLda(3);
+  no_tokens.max_doc_tokens = 0;
+  EXPECT_THROW(LdaModel::Train(TwoThemeCorpus(5), no_tokens, &rng),
+               std::invalid_argument);
+
+  LdaModel lda = LdaModel::Train(TwoThemeCorpus(20), SmallLda(3), &rng);
+  std::stringstream ss;
+  lda.Save(&ss);
+  const size_t options_at = 2 * sizeof(uint64_t);
+  for (int iterations : {0, -1, kMaxInferIterations + 1}) {
+    std::string bytes = ss.str();
+    std::memcpy(bytes.data() + options_at +
+                    offsetof(LdaOptions, infer_iterations),
+                &iterations, sizeof(iterations));
+    std::stringstream in(bytes);
+    EXPECT_THROW(LdaModel::Load(&in), std::runtime_error) << iterations;
+  }
+  std::string bytes = ss.str();
+  const size_t zero = 0;
+  std::memcpy(bytes.data() + options_at + offsetof(LdaOptions, max_doc_tokens),
+              &zero, sizeof(zero));
+  std::stringstream in(bytes);
+  EXPECT_THROW(LdaModel::Load(&in), std::runtime_error);
+
+  // The cap itself is a valid setting.
+  LdaOptions capped = SmallLda(3);
+  capped.infer_iterations = kMaxInferIterations;
+  LdaModel at_cap = LdaModel::Train(TwoThemeCorpus(5), capped, &rng);
+  std::stringstream round;
+  at_cap.Save(&round);
+  EXPECT_EQ(LdaModel::Load(&round).options().infer_iterations,
+            kMaxInferIterations);
+}
+
 TEST(LdaTest, MaxDocTokensTruncates) {
   util::Rng rng(8);
   LdaOptions opts = SmallLda(2);
@@ -351,6 +415,69 @@ TEST(LdaFastPathTest, SteadyStateFoldInDoesNotGrowScratch) {
   run_pass();
   EXPECT_EQ(scratch.CapacityBytes() + cache.CapacityBytes(), capacity_before);
   EXPECT_EQ(cache.growth_events(), growth_before);
+}
+
+TEST(LdaFastPathTest, CollapseCountsInDenseScratchAndResetsIt) {
+  util::Rng rng(38);
+  LdaModel lda = LdaModel::Train(TwoThemeCorpus(20), SmallLda(3), &rng);
+  const std::vector<std::string> doc = {"vote", "goal",  "vote", "senate",
+                                        "goal", "vote",  "match"};
+  LdaScratch scratch;
+  for (const auto& token : doc) scratch.ids.push_back(*lda.vocab().Id(token));
+  std::map<embedding::TokenId, double> expected;
+  for (embedding::TokenId id : scratch.ids) expected[id] += 1.0;
+  std::vector<double> theta;
+  lda.InferTopicsInto(&scratch, &theta);
+
+  // ids: sorted unique; counts: occurrences; the dense counts are zero again.
+  ASSERT_EQ(scratch.ids.size(), expected.size());
+  ASSERT_EQ(scratch.counts.size(), expected.size());
+  size_t u = 0;
+  for (const auto& [id, count] : expected) {
+    EXPECT_EQ(scratch.ids[u], id);
+    EXPECT_EQ(scratch.counts[u], count);
+    ++u;
+  }
+  ASSERT_GE(scratch.id_counts.size(), lda.vocab().size());
+  for (uint32_t c : scratch.id_counts) EXPECT_EQ(c, 0u);
+  EXPECT_EQ(scratch.scale.size(), expected.size());
+  EXPECT_GE(scratch.CapacityBytes(),
+            scratch.id_counts.capacity() * sizeof(uint32_t) +
+                scratch.scale.capacity() * sizeof(double));
+  EXPECT_EQ(theta, lda.InferTopics(doc));
+}
+
+TEST(LdaFastPathTest, OneShotInferenceReusesScratchAcrossModels) {
+  // InferTopics keeps one scratch per thread; calls interleaved over two
+  // models of different vocabulary size must each match a fresh scratch.
+  util::Rng rng(39);
+  LdaModel small = LdaModel::Train(TwoThemeCorpus(10), SmallLda(3), &rng);
+  auto wide_docs = TwoThemeCorpus(10);
+  for (int i = 0; i < 40; ++i) {
+    wide_docs.push_back({"w" + std::to_string(i), "w" + std::to_string(i + 1),
+                         "goal"});
+  }
+  LdaModel wide = LdaModel::Train(wide_docs, SmallLda(5), &rng);
+  ASSERT_GT(wide.vocab().size(), small.vocab().size());
+  auto fresh = [](const LdaModel& lda, const std::vector<std::string>& doc) {
+    LdaScratch scratch;
+    for (const auto& token : doc) {
+      if (auto id = lda.vocab().Id(token)) scratch.ids.push_back(*id);
+    }
+    std::vector<double> theta;
+    lda.InferTopicsInto(&scratch, &theta);
+    return theta;
+  };
+  const std::vector<std::vector<std::string>> docs = {
+      {"goal", "vote", "goal", "w3", "w4", "w3"},
+      {"senate", "ballot", "w30", "match"},
+      {"w1", "w1", "w1", "league"}};
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& doc : docs) {
+      EXPECT_EQ(wide.InferTopics(doc), fresh(wide, doc));
+      EXPECT_EQ(small.InferTopics(doc), fresh(small, doc));
+    }
+  }
 }
 
 // ------------------------------------------------------ table documents ----

@@ -1,12 +1,18 @@
 // Unit tests for sato::util: RNG, math helpers, string utilities, CSV.
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/binary_io.h"
 #include "util/csv.h"
 #include "util/logging.h"
 #include "util/math_util.h"
@@ -389,6 +395,31 @@ TEST(TimerTest, MeasuresElapsedTime) {
               timer.ElapsedMillis() * 0.5 + 1.0);
   timer.Reset();
   EXPECT_LE(timer.ElapsedSeconds(), t1 + 1.0);
+}
+
+// ---------------------------------------------------------- binary_io ----
+
+TEST(BinaryIoTest, ReadArrayEndsWithExactCapacity) {
+  // Several chunks plus a partial one: the buffer grows with the bytes
+  // delivered and ends holding exactly the count, with no doubling slack.
+  const size_t count = 5 * (kReadChunkBytes / sizeof(double)) + 17;
+  std::vector<double> values(count);
+  for (size_t i = 0; i < count; ++i) values[i] = static_cast<double>(i) * 0.5;
+  std::string bytes(count * sizeof(double), '\0');
+  std::memcpy(bytes.data(), values.data(), bytes.size());
+  std::istringstream in(bytes);
+  std::vector<double> out;
+  ReadArray(&in, count, &out, "test");
+  EXPECT_EQ(out, values);
+  EXPECT_EQ(out.capacity(), count);
+}
+
+TEST(BinaryIoTest, ReadArrayThrowsOnShortStreamWithoutTrustingCount) {
+  std::istringstream in(std::string(3 * sizeof(double), '\0'));
+  std::vector<double> out;
+  EXPECT_THROW(ReadArray(&in, uint64_t{1} << 50, &out, "test"),
+               std::runtime_error);
+  EXPECT_LE(out.capacity() * sizeof(double), kReadChunkBytes);
 }
 
 }  // namespace
