@@ -7,8 +7,7 @@
 // end-to-end featurization cost (four groups + topic vector) both ways, each
 // as the median of repeated whole-corpus passes with its inter-quartile
 // range, then writes the whole table to BENCH_features.json (schema in
-// docs/BENCHMARKS.md) -- the featurization counterpart of BENCH_gemm.json
-// and BENCH_serve.json.
+// docs/BENCHMARKS.md) -- the featurization counterpart of BENCH_gemm.json.
 
 #include <algorithm>
 #include <cstdio>

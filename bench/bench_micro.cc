@@ -6,8 +6,7 @@
 //
 // After the google-benchmark pass, main() runs a fixed naive-vs-blocked
 // GEMM comparison over the matrix shapes the model actually multiplies and
-// writes it to BENCH_gemm.json (schema in docs/BENCHMARKS.md), the kernel
-// counterpart of bench_serve's BENCH_serve.json. Scale via
+// writes it to BENCH_gemm.json (schema in docs/BENCHMARKS.md). Scale via
 // SATO_BENCH_SCALE; run only the GEMM suite with
 // --benchmark_filter=BM_Gemm (the CI Release smoke does exactly that).
 // The JSON pass is skipped for --benchmark_list_tests and for filters
@@ -269,7 +268,7 @@ BENCHMARK(BM_SoftmaxCrossEntropy);
 
 // -- BENCH_gemm.json --------------------------------------------------------
 // Machine-readable naive-vs-blocked comparison, the perf-trajectory file
-// the CI Release job uploads next to BENCH_serve.json. Iteration counts
+// the CI Release job uploads as an artifact. Iteration counts
 // target a fixed FLOP budget per trial so every shape gets a stable timing
 // at every scale; each figure is the median of kGemmTrials trials, with
 // its inter-quartile range, and the two kernels alternate trial by trial

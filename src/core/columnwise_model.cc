@@ -182,19 +182,6 @@ std::vector<nn::Parameter*> ColumnwiseModel::Parameters() {
   return params;
 }
 
-size_t ColumnwiseModel::ParameterBytes() const {
-  auto* self = const_cast<ColumnwiseModel*>(this);
-  size_t bytes = 0;
-  for (const nn::Parameter* p : self->Parameters()) {
-    bytes += (p->value.size() + p->grad.size()) * sizeof(double);
-  }
-  for (const nn::BatchNorm1d* bn : batch_norms_) {
-    bytes += (bn->running_mean().size() + bn->running_var().size()) *
-             sizeof(double);
-  }
-  return bytes;
-}
-
 void ColumnwiseModel::Save(std::ostream* out) const {
   auto* self = const_cast<ColumnwiseModel*>(this);
   nn::SaveParameters(self->Parameters(), out);

@@ -80,11 +80,6 @@ class ColumnwiseModel {
                                        nn::Workspace* ws,
                                        nn::Matrix* embedding) const;
 
-  /// Bytes of parameter state (values + gradients + BatchNorm running
-  /// statistics) -- the per-replica cost the shared-model serving path
-  /// avoids paying per worker.
-  size_t ParameterBytes() const;
-
   /// Backward pass from d(loss)/d(logits); accumulates parameter grads.
   void Backward(const nn::Matrix& grad_logits);
 

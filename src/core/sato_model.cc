@@ -117,15 +117,6 @@ nn::Matrix SatoModel::ColumnEmbeddings(const TableExample& table) const {
   return ColumnEmbeddings(table, &ws);
 }
 
-size_t SatoModel::ParameterBytes() const {
-  size_t bytes = columnwise_->ParameterBytes();
-  if (crf_ != nullptr) {
-    bytes += (crf_->pairwise().value.size() + crf_->pairwise().grad.size()) *
-             sizeof(double);
-  }
-  return bytes;
-}
-
 void SatoModel::Save(std::ostream* out) const {
   columnwise_->Save(out);
   if (crf_ != nullptr) crf_->Save(out);

@@ -1,9 +1,13 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
+
+#include "util/binary_io.h"
 
 namespace sato::nn {
 
@@ -30,12 +34,19 @@ void SaveMatrix(const Matrix& m, std::ostream* out) {
 }
 
 Matrix LoadMatrix(std::istream* in) {
-  uint64_t rows = ReadU64(in);
-  uint64_t cols = ReadU64(in);
+  const uint64_t rows = ReadU64(in);
+  const uint64_t cols = ReadU64(in);
+  // The shape is untrusted: a product that wraps would describe a matrix
+  // with no storage, and the values are read in bounded chunks before the
+  // matrix is allocated, so a shape the stream cannot fill costs only the
+  // bytes it delivers.
+  if (cols != 0 && rows > std::numeric_limits<size_t>::max() / cols) {
+    throw std::overflow_error("nn::LoadMatrix: rows x cols overflows size_t");
+  }
+  std::vector<double> values;
+  util::ReadArray(in, rows * cols, &values, "nn::LoadMatrix");
   Matrix m(rows, cols);
-  in->read(reinterpret_cast<char*>(m.data()),
-           static_cast<std::streamsize>(m.size() * sizeof(double)));
-  if (!*in) throw std::runtime_error("nn::LoadMatrix: truncated stream");
+  std::copy(values.begin(), values.end(), m.data());
   return m;
 }
 

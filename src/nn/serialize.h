@@ -21,7 +21,8 @@ void LoadParameters(const std::vector<Parameter*>& params, std::istream* in);
 /// Saves a raw matrix.
 void SaveMatrix(const Matrix& m, std::ostream* out);
 
-/// Loads a raw matrix.
+/// Loads a raw matrix. Throws std::runtime_error on a truncated stream or
+/// a saved shape whose element count overflows size_t.
 Matrix LoadMatrix(std::istream* in);
 
 }  // namespace sato::nn

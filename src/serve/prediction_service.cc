@@ -525,20 +525,4 @@ ServiceStats PredictionService::Stats() const {
   return stats;
 }
 
-void PredictionService::ResetStats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  submitted_ = outstanding_;  // still-live admissions (includes pending)
-  completed_ = 0;
-  rejected_ = 0;
-  rejected_shutdown_ = 0;
-  deadline_exceeded_ = 0;
-  batches_ = 0;
-  model_swaps_ = 0;
-  cache_hits_ = 0;
-  cache_misses_ = 0;
-  std::fill(batch_size_histogram_.begin(), batch_size_histogram_.end(), 0);
-  latencies_.clear();
-  latency_next_ = 0;
-}
-
 }  // namespace sato::serve

@@ -257,10 +257,6 @@ class PredictionService {
   /// Consistent snapshot of the counters and latency percentiles.
   ServiceStats Stats() const;
 
-  /// Zeroes the cumulative counters, histogram and latency samples (not
-  /// the admission state). Benchmarks call this after warm-up.
-  void ResetStats();
-
   size_t num_threads() const { return pool_.num_threads(); }
   const PredictionServiceOptions& options() const { return options_; }
 

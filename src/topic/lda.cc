@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -19,6 +21,23 @@ namespace {
 
 using embedding::TokenId;
 using embedding::Vocabulary;
+
+// Writes the options in their raw 48-byte layout with the padding bytes
+// zeroed, so equal options always save to equal bytes.
+void WriteOptions(const LdaOptions& o, std::ostream* out) {
+  char raw[sizeof(LdaOptions)] = {};
+  auto put = [&raw](size_t offset, const auto& field) {
+    std::memcpy(raw + offset, &field, sizeof(field));
+  };
+  put(offsetof(LdaOptions, num_topics), o.num_topics);
+  put(offsetof(LdaOptions, alpha), o.alpha);
+  put(offsetof(LdaOptions, beta), o.beta);
+  put(offsetof(LdaOptions, train_iterations), o.train_iterations);
+  put(offsetof(LdaOptions, infer_iterations), o.infer_iterations);
+  put(offsetof(LdaOptions, min_count), o.min_count);
+  put(offsetof(LdaOptions, max_doc_tokens), o.max_doc_tokens);
+  out->write(raw, sizeof(raw));
+}
 
 // Encodes a tokenised document as in-vocabulary token ids, truncated.
 std::vector<TokenId> Encode(const Vocabulary& vocab,
@@ -323,7 +342,7 @@ void LdaModel::Save(std::ostream* out) const {
   uint64_t v = vocab_.size();
   out->write(reinterpret_cast<const char*>(&k), sizeof(k));
   out->write(reinterpret_cast<const char*>(&v), sizeof(v));
-  out->write(reinterpret_cast<const char*>(&options_), sizeof(options_));
+  WriteOptions(options_, out);
   for (size_t i = 0; i < v; ++i) {
     const std::string& t = vocab_.Token(static_cast<TokenId>(i));
     uint64_t len = t.size();

@@ -1,9 +1,13 @@
 // Unit tests for sato::nn: matrix ops, layer forward/backward correctness
 // (numerical gradient checks), loss, optimisers, serialization.
 
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -507,6 +511,39 @@ TEST(SerializeTest, BadMagicThrows) {
   Sequential net;
   net.Emplace<Linear>(2, 2, &rng);
   EXPECT_THROW(LoadParameters(net.Parameters(), &ss), std::runtime_error);
+}
+
+// A saved matrix header claiming [rows, cols] with no values after it.
+std::stringstream MatrixHeader(uint64_t rows, uint64_t cols) {
+  std::stringstream ss;
+  ss.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  ss.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
+  return ss;
+}
+
+TEST(SerializeTest, ShapeWhoseProductWrapsThrows) {
+  // 2^32 x 2^32 wraps to 0 elements: without the check it would load as a
+  // matrix of that shape with no storage behind it.
+  std::stringstream ss = MatrixHeader(uint64_t{1} << 32, uint64_t{1} << 32);
+  EXPECT_THROW(LoadMatrix(&ss), std::overflow_error);
+}
+
+TEST(SerializeTest, HugeShapeWithoutValuesThrowsTruncatedQuickly) {
+  // 2^40 doubles (8 TiB) must not be allocated before the bytes arrive.
+  std::stringstream ss = MatrixHeader(uint64_t{1} << 40, 1);
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    LoadMatrix(&ss);
+    FAIL() << "an empty payload loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated stream"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            1.0);
 }
 
 // ---------------------------------------------------------- workspace ----

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstring>
 #include <map>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
@@ -124,6 +125,41 @@ TEST(LdaTest, SaveLoadRoundTrip) {
   // The fold-in is a pure function of (document, model).
   EXPECT_EQ(lda.InferTopics({"goal", "match"}),
             back.InferTopics({"goal", "match"}));
+}
+
+TEST(LdaTest, SaveIsByteIdenticalWhateverTheOptionsPaddingHolds) {
+  // LdaOptions has 4 padding bytes after num_topics; Save must not copy
+  // whatever they happen to hold into the bundle.
+  std::string saved[2];
+  const unsigned char fills[2] = {0x00, 0xAB};
+  for (int i = 0; i < 2; ++i) {
+    alignas(LdaOptions) unsigned char storage[sizeof(LdaOptions)];
+    std::memset(storage, fills[i], sizeof(storage));
+    LdaOptions* opts = new (storage) LdaOptions;
+    opts->num_topics = 3;
+    opts->train_iterations = 80;
+    opts->infer_iterations = 30;
+    opts->min_count = 1;
+    util::Rng rng(14);
+    LdaModel lda = LdaModel::Train(TwoThemeCorpus(20), *opts, &rng);
+    std::stringstream ss;
+    lda.Save(&ss);
+    saved[i] = ss.str();
+  }
+  EXPECT_EQ(saved[0], saved[1]);
+  // Both the zeroed layout and an older bundle with junk padding load.
+  std::string junk = saved[0];
+  std::memset(junk.data() + 2 * sizeof(uint64_t) +
+                  offsetof(LdaOptions, num_topics) + sizeof(int),
+              0xAB, offsetof(LdaOptions, alpha) - sizeof(int));
+  for (const std::string& bytes : {saved[0], junk}) {
+    std::stringstream in(bytes);
+    LdaModel back = LdaModel::Load(&in);
+    EXPECT_EQ(back.num_topics(), 3);
+    std::stringstream again;
+    back.Save(&again);
+    EXPECT_EQ(again.str(), saved[0]);
+  }
 }
 
 // Overwrites the saved frequency of vocabulary entry `entry` in an
